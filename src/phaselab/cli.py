@@ -44,7 +44,16 @@ from .phasespace import (
 )
 from .pointer import CouplingSpec, pointer_vs_direct
 
+
+class StateSpecError(ValueError):
+    """A --state value that is neither a state file nor a well-formed spec."""
+
+
+# Spec kind -> (fewest, most) numeric parameters.
+_SPEC_ARITY = {"coherent": (2, 3), "fock": (1, 1), "cat": (1, 2)}
+
 _MODULE_ORIGIN = {
+    StateSpecError: "cli",
     EnvelopeError: "core",
     ResolutionError: "measurement",
     OutcomeIncompatibleError: "measurement",
@@ -107,22 +116,38 @@ def _build_state(cfg: RunConfig) -> WaveFunction:
     spec = cfg.state.strip()
     if Path(spec).is_file():
         return plio.load_wavefunction(spec)
+    kind, params = _parse_spec(spec)
     grid = make_grid(cfg.grid_n, cfg.x_min, cfg.x_max)
-    tokens = spec.split()
-    kind, params = tokens[0], [float(t) for t in tokens[1:]]
     if kind == "coherent":
         x0, p0 = params[0], params[1]
         delta = params[2] if len(params) > 2 else 1.0
         return coherent_state(grid, x0, p0, delta)
     if kind == "fock":
         return fock_state(grid, int(params[0]))
-    if kind == "cat":
-        a = params[0]
-        delta = params[1] if len(params) > 1 else 1.0
-        left = coherent_state(grid, -a, 0.0, delta)
-        right = coherent_state(grid, a, 0.0, delta)
-        return superpose(1.0, left, 1.0, right)
-    raise ValueError(f"unknown state spec {spec!r}")
+    a = params[0]
+    delta = params[1] if len(params) > 1 else 1.0
+    left = coherent_state(grid, -a, 0.0, delta)
+    right = coherent_state(grid, a, 0.0, delta)
+    return superpose(1.0, left, 1.0, right)
+
+
+def _parse_spec(spec: str) -> tuple:
+    """(kind, float parameters) of a constructor spec, checked against its arity."""
+    tokens = spec.split()
+    kind = tokens[0] if tokens else ""
+    if kind not in _SPEC_ARITY:
+        raise StateSpecError(f"unknown state spec {spec!r}; expected 'coherent x0 p0 [delta]', "
+                             "'fock m', 'cat a [delta]' or a state file")
+    fewest, most = _SPEC_ARITY[kind]
+    if not fewest <= len(tokens) - 1 <= most:
+        raise StateSpecError(f"state spec {spec!r}: {kind} takes {fewest} to {most} numbers")
+    try:
+        params = [float(t) for t in tokens[1:]]
+    except ValueError:
+        raise StateSpecError(f"state spec {spec!r}: parameters must be numbers") from None
+    if kind == "fock" and not params[0].is_integer():
+        raise StateSpecError(f"state spec {spec!r}: the Fock index must be a whole number")
+    return kind, params
 
 
 def _state_metadata(psi: WaveFunction) -> dict:
@@ -137,17 +162,13 @@ def _state_metadata(psi: WaveFunction) -> dict:
     }
 
 
-def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, sort_keys=True) + "\n")
-
-
 def cmd_state(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     psi = _build_state(cfg)
     ext = "csv" if cfg.format == "csv" else "json"
     plio.save_wavefunction(psi, out / f"state.{ext}", fmt=ext)
-    _write_json(out / "state.meta.json", _state_metadata(psi))
+    plio.save_json(_state_metadata(psi), out / "state.meta.json")
     return 0
 
 
@@ -162,16 +183,7 @@ def cmd_dist(cfg: RunConfig, which: str) -> int:
         origin = cg.values[cg.u.size // 2, int(np.argmin(np.abs(cg.v)))]
         summary["origin_value"] = [float(origin.real), float(origin.imag)]
         ok = abs(origin - 1.0) < 1e-9
-        doc = {
-            "s": cg.s,
-            "u_min": float(cg.u[0]),
-            "du": float(cg.u[1] - cg.u[0]),
-            "v_min": float(cg.v[0]),
-            "dv": float(cg.v[1] - cg.v[0]),
-            "values_re": [[float(v.real) for v in row] for row in cg.values],
-            "values_im": [[float(v.imag) for v in row] for row in cg.values],
-        }
-        _write_json(out / "characteristic.json", doc)
+        plio.save_characteristic(cg, out / "characteristic.json")
     else:
         if which == "wigner":
             dist = wigner(psi)
@@ -191,7 +203,7 @@ def cmd_dist(cfg: RunConfig, which: str) -> int:
         ok = ok and abs(summary["normalization"] - 1.0) < 1e-6
         plio.save_distribution(dist, out / f"{which}.{cfg.format}", fmt=cfg.format)
     summary["pass"] = bool(ok)
-    _write_json(out / f"{which}.summary.json", summary)
+    plio.save_json(summary, out / f"{which}.summary.json")
     return 0 if ok else 1
 
 
@@ -206,10 +218,7 @@ def cmd_sample(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     psi = _build_state(cfg)
     result = sample_joint(psi, cfg.delta, cfg.shots, cfg.seed, bins=cfg.bins)
-    lines = ["shot,x,p"]
-    for i in range(result.shots):
-        lines.append(f"{i},{plio.FMT % result.x[i]},{plio.FMT % result.p[i]}")
-    (out / "records.csv").write_text("\n".join(lines) + "\n")
+    plio.save_records(result.x, result.p, out / "records.csv")
     plio.save_distribution(result.histogram, out / f"histogram.{cfg.format}", fmt=cfg.format)
     report = {"shots": cfg.shots, "seed": cfg.seed, "rejected": result.rejected}
     if cfg.shots == 0:
@@ -224,7 +233,7 @@ def cmd_sample(cfg: RunConfig) -> int:
         report.update(tv=tv, shot_noise_bound=bound, threshold=threshold)
         ok = tv < threshold
         report["status"] = "PASS" if ok else "FAIL"
-    _write_json(out / "sample.report.json", report)
+    plio.save_json(report, out / "sample.report.json")
     return 0 if ok else 1
 
 
@@ -235,34 +244,29 @@ def cmd_pointer(cfg: RunConfig) -> int:
     spec = CouplingSpec(g=cfg.g, delta_device=cfg.delta_device)
     deviation = pointer_vs_direct(psi, spec)
     ok = deviation < 1e-5
-    _write_json(
-        out / "pointer.report.json",
-        {
-            "g": cfg.g,
-            "delta_device": cfg.delta_device,
-            "max_deviation": deviation,
-            "status": "PASS" if ok else "FAIL",
-        },
-    )
+    report = {
+        "g": cfg.g,
+        "delta_device": cfg.delta_device,
+        "max_deviation": deviation,
+        "status": "PASS" if ok else "FAIL",
+    }
+    plio.save_json(report, out / "pointer.report.json")
     return 0 if ok else 1
 
 
 def cmd_report(cfg: RunConfig) -> int:
     out = Path(cfg.out)
-    docs = {}
-    for path in sorted(out.glob("*.json")):
-        if path.name.endswith(".report.json") or path.name.endswith(".summary.json"):
-            docs[path.name] = json.loads(path.read_text())
-    ok = all(
-        doc.get("pass", True) and doc.get("status", "PASS") != "FAIL" for doc in docs.values()
-    )
-    _write_json(out / "report.json", {"sources": docs, "pass": bool(ok)})
-    lines = [f"{name}: {'PASS' if (d.get('pass', True) and d.get('status', 'PASS') != 'FAIL') else 'FAIL'}"
-             for name, d in sorted(docs.items())]
-    lines.append(f"overall: {'PASS' if ok else 'FAIL'}")
-    (out / "report.txt").write_text("\n".join(lines) + "\n")
-    print("\n".join(lines))
-    return 0 if ok else 1
+    docs = {
+        path.name: plio.load_json(path)
+        for path in sorted(out.glob("*.json"))
+        if path.name.endswith((".report.json", ".summary.json"))
+    }
+    verdicts = {
+        name: bool(doc.get("pass", True) and doc.get("status", "PASS") != "FAIL")
+        for name, doc in docs.items()
+    }
+    print(plio.save_report(docs, verdicts, out), end="")
+    return 0 if all(verdicts.values()) else 1
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:

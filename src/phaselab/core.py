@@ -78,10 +78,15 @@ class Grid:
         return self.x if basis is Basis.POSITION else self.p
 
 
-def make_grid(n: int, x_min: float, x_max: float) -> Grid:
-    """Build a lattice of n points (power of two, >= 16) over [x_min, x_max)."""
+def check_grid_size(n: int) -> None:
+    """Lattices are powers of two, >= 16 points."""
     if n < 16 or (n & (n - 1)) != 0:
         raise ValueError(f"grid size must be a power of two >= 16, got {n}")
+
+
+def make_grid(n: int, x_min: float, x_max: float) -> Grid:
+    """Build a lattice of n points (power of two, >= 16) over [x_min, x_max)."""
+    check_grid_size(n)
     if not (x_min < 0.0 < x_max):
         raise ValueError(f"domain [{x_min}, {x_max}] must contain the origin")
     return Grid(n=int(n), x_min=float(x_min), dx=(float(x_max) - float(x_min)) / n)

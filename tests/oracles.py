@@ -48,3 +48,91 @@ def smeared_density(psi_fn, x, delta, x_max=24.0, nx=48001):
     xp = np.linspace(-x_max, x_max, nx)
     kernel = np.exp(-((x - xp) ** 2) / delta) / np.sqrt(delta * np.pi)
     return float(np.trapezoid(kernel * np.abs(psi_fn(xp)) ** 2, xp))
+
+
+# Reference text formats: the per-cell loops that phaselab.io's chunked writer
+# and NumPy reader replaced.  The io tests require identical bytes and equal
+# arrays from them.
+
+FMT17 = "%.17g"
+
+
+def _json_line(doc):
+    import json
+
+    return json.dumps(doc, sort_keys=True) + "\n"
+
+
+def distribution_csv(dist):
+    lines = ["x,p,value"]
+    for i, xv in enumerate(dist.x):
+        for j, pv in enumerate(dist.p):
+            lines.append(f"{FMT17 % xv},{FMT17 % pv},{FMT17 % dist.values[i, j]}")
+    return "\n".join(lines) + "\n"
+
+
+def distribution_json(dist):
+    return _json_line({
+        "n": int(dist.x.size),
+        "x_min": float(dist.x[0]),
+        "dx": dist.dx,
+        "kind": dist.kind.value,
+        "delta": dist.delta,
+        "p_min": float(dist.p[0]),
+        "dp": dist.dp,
+        "values": [[float(v) for v in row] for row in dist.values],
+    })
+
+
+def characteristic_json(cg):
+    return _json_line({
+        "s": cg.s,
+        "u_min": float(cg.u[0]),
+        "du": float(cg.u[1] - cg.u[0]),
+        "v_min": float(cg.v[0]),
+        "dv": float(cg.v[1] - cg.v[0]),
+        "values_re": [[float(v.real) for v in row] for row in cg.values],
+        "values_im": [[float(v.imag) for v in row] for row in cg.values],
+    })
+
+
+def state_csv(psi):
+    lines = ["x,re,im"]
+    for xv, a in zip(psi.grid.x, psi.amp):
+        lines.append(f"{FMT17 % xv},{FMT17 % a.real},{FMT17 % a.imag}")
+    return "\n".join(lines) + "\n"
+
+
+def state_json(psi):
+    g = psi.grid
+    interleaved = np.empty(2 * g.n)
+    interleaved[0::2] = psi.amp.real
+    interleaved[1::2] = psi.amp.imag
+    return _json_line({
+        "n": g.n, "x_min": g.x_min, "dx": g.dx, "basis": psi.basis.value,
+        "amp": [float(v) for v in interleaved],
+    })
+
+
+def records_csv(x, p):
+    lines = ["shot,x,p"]
+    for i in range(x.size):
+        lines.append(f"{i},{FMT17 % x[i]},{FMT17 % p[i]}")
+    return "\n".join(lines) + "\n"
+
+
+def read_distribution_csv(text):
+    """(x, p, values) as the line-splitting reader parsed them."""
+    rows = [line.split(",") for line in text.strip().splitlines()[1:]]
+    xs = sorted({float(r[0]) for r in rows})
+    ps = sorted({float(r[1]) for r in rows})
+    values = np.array([float(r[2]) for r in rows]).reshape(len(xs), len(ps))
+    return np.array(xs), np.array(ps), values
+
+
+def read_state_csv(text):
+    """(x, amp) as the line-splitting reader parsed them."""
+    rows = [line.split(",") for line in text.strip().splitlines()[1:]]
+    xs = np.array([float(r[0]) for r in rows])
+    amp = np.array([float(r[1]) + 1j * float(r[2]) for r in rows])
+    return xs, amp

@@ -62,6 +62,67 @@ class TestWavefunctionIO:
         save_wavefunction(vacuum, b)
         assert a.read_bytes() == b.read_bytes()
 
+    @staticmethod
+    def _write_state_csv(path, xs):
+        rows = "".join(f"{float(x)!r},{1.0 / len(xs)!r},0.0\n" for x in xs)
+        path.write_text("x,re,im\n" + rows)
+
+    def test_csv_rejects_size_not_power_of_two(self, tmp_path):
+        path = tmp_path / "state.csv"
+        self._write_state_csv(path, -3.0 + 0.125 * np.arange(48))
+        with pytest.raises(ValueError, match="power of two"):
+            load_wavefunction(path)
+
+    def test_csv_rejects_non_uniform_spacing(self, tmp_path):
+        xs = -4.0 + 0.125 * np.arange(64)
+        xs[40] += 0.01
+        path = tmp_path / "state.csv"
+        self._write_state_csv(path, xs)
+        with pytest.raises(ValueError, match="uniform"):
+            load_wavefunction(path)
+
+    def test_cli_reports_bad_state_csv(self, tmp_path, capsys):
+        path = tmp_path / "state.csv"
+        self._write_state_csv(path, -3.0 + 0.125 * np.arange(48))
+        code = main(["dist", "--state", str(path), "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [") and err.count("\n") == 1
+        assert "power of two" in err
+
+    @pytest.mark.parametrize("name", ["../secret.bin", "/tmp/secret.bin", "sub/state.json.bin",
+                                      "..", ".", "", "missing.bin"])
+    def test_sidecar_must_be_a_sibling_name(self, vacuum, tmp_path, name):
+        state_dir = tmp_path / "run"
+        state_dir.mkdir()
+        path = state_dir / "state.json"
+        save_wavefunction(vacuum, path, binary_sidecar=True)
+        (tmp_path / "secret.bin").write_bytes((state_dir / "state.json.bin").read_bytes())
+        header = json.loads(path.read_text())
+        header["amp_file"] = name
+        path.write_text(json.dumps(header))
+        with pytest.raises(ValueError, match="amp_file"):
+            load_wavefunction(path)
+
+    @pytest.mark.parametrize("doc", ["{}", "[]", '{"n": 16, "x_min": -4.0, "dx": 0.5, "basis": "position"}'])
+    def test_json_header_missing_field_one_line_error(self, tmp_path, capsys, doc):
+        path = tmp_path / "state.json"
+        path.write_text(doc)
+        assert main(["dist", "--state", str(path), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("extra", [-1, 1, 2])
+    def test_sidecar_must_hold_2n_floats(self, vacuum, tmp_path, extra):
+        path = tmp_path / "state.json"
+        save_wavefunction(vacuum, path, binary_sidecar=True)
+        sidecar = tmp_path / "state.json.bin"
+        data = np.fromfile(sidecar, dtype="<f8")
+        data = data[:extra] if extra < 0 else np.concatenate([data, np.zeros(extra)])
+        data.astype("<f8").tofile(sidecar)
+        with pytest.raises(ValueError, match="2n"):
+            load_wavefunction(path)
+
 
 class TestDistributionIO:
     def test_json_roundtrip(self, grid, vacuum, tmp_path):
@@ -82,6 +143,20 @@ class TestDistributionIO:
         assert np.max(np.abs(back.values - dist.values)) < 1e-18
         assert np.allclose(back.x, dist.x, atol=1e-12)
         assert np.allclose(back.p, dist.p, atol=1e-12)
+
+    @pytest.mark.parametrize("body", [
+        "1,2\n",
+        "0,0,1\n0,1\n",
+        "0,0,1\n0,1,2\n1,0,3\n",
+        "0,0,1\n0,1,2\n1,1,3\n1,0,4\n",
+        "0,0,abc\n",
+        "",
+    ], ids=["short-row", "ragged", "non-rectangular", "not-row-major", "non-numeric", "empty"])
+    def test_csv_malformed_raises_value_error(self, tmp_path, body):
+        path = tmp_path / "d.csv"
+        path.write_text("x,p,value\n" + body)
+        with pytest.raises(ValueError):
+            load_distribution(path)
 
 
 class TestRunConfig:
@@ -108,6 +183,15 @@ class TestCmdState:
     def test_fock_25_rejected(self, tmp_path, capsys):
         assert main(["state", "--state", "fock 25", "--out", str(tmp_path)]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", [
+        "coherent 0", "coherent", "coherent 0 0 1 2", "coherent a 0",
+        "fock", "fock 1 2", "fock x", "fock 1.5", "cat", "cat 1 1 1", "cat b", "",
+    ])
+    def test_malformed_spec_one_line_error(self, tmp_path, capsys, spec):
+        assert main(["dist", "--state", spec, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [cli]: ") and err.count("\n") == 1
 
     def test_state_file_feeds_dist(self, tmp_path):
         assert main(["state", "--state", "coherent 1 0 1", "--out", str(tmp_path)]) == 0
