@@ -4,6 +4,8 @@ These deliberately avoid the package's FFT machinery: states are analytic
 callables and every integral is a dense trapezoid quadrature.
 """
 
+import json
+
 import numpy as np
 
 
@@ -58,8 +60,6 @@ FMT17 = "%.17g"
 
 
 def _json_line(doc):
-    import json
-
     return json.dumps(doc, sort_keys=True) + "\n"
 
 
