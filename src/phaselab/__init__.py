@@ -22,7 +22,6 @@ from .measurement import (
     ConditionalResult,
     GaussianMeasurement,
     OutcomeIncompatibleError,
-    SampleRecord,
     SampleResult,
     apply_m,
     conditional_q,

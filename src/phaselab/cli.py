@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +21,7 @@ from .core import (
     Observable,
     ResolutionError,
     WaveFunction,
+    as_position,
     coherent_state,
     expectation,
     fock_state,
@@ -35,7 +36,6 @@ from .measurement import (
     tv_distance,
 )
 from .phasespace import (
-    DistributionKind,
     MarginalAxis,
     characteristic,
     husimi,
@@ -49,11 +49,16 @@ class StateSpecError(ValueError):
     """A --state value that is neither a state file nor a well-formed spec."""
 
 
+class ConfigError(ValueError):
+    """A --config file that cannot be read, is not JSON or sets unknown fields."""
+
+
 # Spec kind -> (fewest, most) numeric parameters.
 _SPEC_ARITY = {"coherent": (2, 3), "fock": (1, 1), "cat": (1, 2)}
 
 _MODULE_ORIGIN = {
     StateSpecError: "cli",
+    ConfigError: "cli",
     EnvelopeError: "core",
     ResolutionError: "measurement",
     OutcomeIncompatibleError: "measurement",
@@ -77,39 +82,44 @@ class RunConfig:
     format: str = "json"
 
     def to_json(self) -> str:
-        doc = asdict(self)
-        doc["bins"] = list(self.bins)
-        return json.dumps(doc, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
-        doc = json.loads(text)
-        if "bins" in doc:
-            doc["bins"] = tuple(doc["bins"])
-        return cls(**doc)
+        return cls(**_config_fields(json.loads(text)))
+
+
+_FIELDS = tuple(f.name for f in fields(RunConfig))
+
+
+def _config_fields(doc) -> dict:
+    """The RunConfig fields that a decoded config document or the flags set."""
+    if not isinstance(doc, dict):
+        raise ConfigError("a config file holds one JSON object")
+    unknown = sorted(set(doc) - set(_FIELDS))
+    if unknown:
+        raise ConfigError(f"unknown field(s) {', '.join(unknown)}")
+    if "bins" in doc:
+        doc["bins"] = tuple(doc["bins"])
+    return doc
 
 
 def _merge_config(args) -> RunConfig:
-    cfg = RunConfig()
-    cli_fields = {}
-    for name in vars(cfg):
-        value = getattr(args, name, None)
-        if value is not None:
-            cli_fields[name] = value
-    if getattr(args, "config", None):
-        file_cfg = RunConfig.from_json(Path(args.config).read_text())
-        overridden = [
-            k for k, v in cli_fields.items() if getattr(file_cfg, k) != v
-        ]
+    """Defaults, then flags, then the fields the config file sets.
+
+    A flag that the file sets to a different value draws a warning.
+    """
+    flags = _config_fields({k: getattr(args, k) for k in _FIELDS if getattr(args, k) is not None})
+    doc = {}
+    if args.config:
+        try:
+            doc = _config_fields(json.loads(Path(args.config).read_text()))
+        except (OSError, ValueError, TypeError) as exc:
+            raise ConfigError(f"config file {args.config}: {exc}") from None
+        overridden = sorted(k for k, v in doc.items() if k in flags and flags[k] != v)
         if overridden:
-            print(
-                f"warning: config file overrides flags: {', '.join(sorted(overridden))}",
-                file=sys.stderr,
-            )
-        return file_cfg
-    for k, v in cli_fields.items():
-        setattr(cfg, k, v)
-    return cfg
+            print(f"warning: config file overrides flags: {', '.join(overridden)}", file=sys.stderr)
+    return RunConfig(**{**flags, **doc})
 
 
 def _build_state(cfg: RunConfig) -> WaveFunction:
@@ -162,22 +172,15 @@ def _state_metadata(psi: WaveFunction) -> dict:
     }
 
 
-def cmd_state(cfg: RunConfig) -> int:
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    psi = _build_state(cfg)
+def cmd_state(cfg: RunConfig, psi: WaveFunction) -> tuple:
     ext = "csv" if cfg.format == "csv" else "json"
-    plio.save_wavefunction(psi, out / f"state.{ext}", fmt=ext)
-    plio.save_json(_state_metadata(psi), out / "state.meta.json")
-    return 0
+    plio.save_wavefunction(psi, Path(cfg.out) / f"state.{ext}", fmt=ext)
+    return "state.meta.json", _state_metadata(psi), True
 
 
-def cmd_dist(cfg: RunConfig, which: str) -> int:
+def cmd_dist(cfg: RunConfig, psi: WaveFunction, which: str) -> tuple:
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    psi = _build_state(cfg)
     summary = {"which": which}
-    ok = True
     if which == "characteristic":
         cg = characteristic(psi, cfg.s)
         origin = cg.values[cg.u.size // 2, int(np.argmin(np.abs(cg.v)))]
@@ -187,9 +190,8 @@ def cmd_dist(cfg: RunConfig, which: str) -> int:
     else:
         if which == "wigner":
             dist = wigner(psi)
-            pos_err = float(
-                np.max(np.abs(marginal(dist, MarginalAxis.OVER_P) - _position_density(psi)))
-            )
+            density = as_position(psi).density()
+            pos_err = float(np.max(np.abs(marginal(dist, MarginalAxis.OVER_P) - density)))
             summary["marginal_position_error"] = pos_err
             ok = pos_err < 1e-6
         elif which == "husimi":
@@ -203,20 +205,11 @@ def cmd_dist(cfg: RunConfig, which: str) -> int:
         ok = ok and abs(summary["normalization"] - 1.0) < 1e-6
         plio.save_distribution(dist, out / f"{which}.{cfg.format}", fmt=cfg.format)
     summary["pass"] = bool(ok)
-    plio.save_json(summary, out / f"{which}.summary.json")
-    return 0 if ok else 1
+    return f"{which}.summary.json", summary, ok
 
 
-def _position_density(psi: WaveFunction) -> np.ndarray:
-    from .core import as_position
-
-    return as_position(psi).density()
-
-
-def cmd_sample(cfg: RunConfig) -> int:
+def cmd_sample(cfg: RunConfig, psi: WaveFunction) -> tuple:
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    psi = _build_state(cfg)
     result = sample_joint(psi, cfg.delta, cfg.shots, cfg.seed, bins=cfg.bins)
     plio.save_records(result.x, result.p, out / "records.csv")
     plio.save_distribution(result.histogram, out / f"histogram.{cfg.format}", fmt=cfg.format)
@@ -233,14 +226,10 @@ def cmd_sample(cfg: RunConfig) -> int:
         report.update(tv=tv, shot_noise_bound=bound, threshold=threshold)
         ok = tv < threshold
         report["status"] = "PASS" if ok else "FAIL"
-    plio.save_json(report, out / "sample.report.json")
-    return 0 if ok else 1
+    return "sample.report.json", report, ok
 
 
-def cmd_pointer(cfg: RunConfig) -> int:
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    psi = _build_state(cfg)
+def cmd_pointer(cfg: RunConfig, psi: WaveFunction) -> tuple:
     spec = CouplingSpec(g=cfg.g, delta_device=cfg.delta_device)
     deviation = pointer_vs_direct(psi, spec)
     ok = deviation < 1e-5
@@ -250,11 +239,10 @@ def cmd_pointer(cfg: RunConfig) -> int:
         "max_deviation": deviation,
         "status": "PASS" if ok else "FAIL",
     }
-    plio.save_json(report, out / "pointer.report.json")
-    return 0 if ok else 1
+    return "pointer.report.json", report, ok
 
 
-def cmd_report(cfg: RunConfig) -> int:
+def cmd_report(cfg: RunConfig) -> tuple:
     out = Path(cfg.out)
     docs = {
         path.name: plio.load_json(path)
@@ -265,8 +253,9 @@ def cmd_report(cfg: RunConfig) -> int:
         name: bool(doc.get("pass", True) and doc.get("status", "PASS") != "FAIL")
         for name, doc in docs.items()
     }
-    print(plio.save_report(docs, verdicts, out), end="")
-    return 0 if all(verdicts.values()) else 1
+    print(plio.save_report(verdicts, out), end="")
+    ok = all(verdicts.values())
+    return "report.json", {"sources": docs, "pass": ok}, ok
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -300,26 +289,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """The one run path: merge the config, make the output directory, build the
+    state, run ``cmd_<name>`` and write the report document it returns."""
     args = build_parser().parse_args(argv)
-    if getattr(args, "bins", None) is not None:
-        args.bins = tuple(args.bins)
-    cfg = _merge_config(args)
     try:
-        if args.command == "state":
-            return cmd_state(cfg)
-        if args.command == "dist":
-            return cmd_dist(cfg, args.which)
-        if args.command == "sample":
-            return cmd_sample(cfg)
-        if args.command == "pointer":
-            return cmd_pointer(cfg)
+        cfg = _merge_config(args)
+        out = Path(cfg.out)
+        out.mkdir(parents=True, exist_ok=True)
+        # Looked up at call time, so that a wrapper set on the module attribute runs.
+        command = globals()[f"cmd_{args.command}"]
         if args.command == "report":
-            return cmd_report(cfg)
+            name, doc, ok = command(cfg)
+        else:
+            extra = (args.which,) if args.command == "dist" else ()
+            name, doc, ok = command(cfg, _build_state(cfg), *extra)
+        plio.save_json(doc, out / name)
     except (ValueError, ArithmeticError) as exc:
         origin = _MODULE_ORIGIN.get(type(exc), "phaselab")
         print(f"error [{origin}]: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

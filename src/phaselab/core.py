@@ -21,6 +21,8 @@ EDGE_DECAY = 1e-12
 
 NORM_TOL = 1e-9
 
+TWO_PI = 2.0 * math.pi
+
 
 class EnvelopeError(ValueError):
     """State does not decay below EDGE_DECAY at the lattice edges."""
@@ -57,7 +59,7 @@ class Grid:
 
     @property
     def dp(self) -> float:
-        return 2.0 * math.pi / (self.n * self.dx)
+        return TWO_PI / (self.n * self.dx)
 
     @property
     def x_max(self) -> float:
@@ -74,14 +76,27 @@ class Grid:
     def spacing(self, basis: Basis) -> float:
         return self.dx if basis is Basis.POSITION else self.dp
 
-    def axis(self, basis: Basis) -> np.ndarray:
-        return self.x if basis is Basis.POSITION else self.p
-
 
 def check_grid_size(n: int) -> None:
     """Lattices are powers of two, >= 16 points."""
     if n < 16 or (n & (n - 1)) != 0:
         raise ValueError(f"grid size must be a power of two >= 16, got {n}")
+
+
+def check_resolved(grid: Grid, delta: float) -> None:
+    """A Gaussian of width parameter delta must span a few lattice cells."""
+    if delta <= 0.0:
+        raise ValueError(f"delta must be positive, got {delta}")
+    if delta < 4.0 * grid.dx**2:
+        raise ResolutionError(
+            f"delta = {delta:g} under-resolved on spacing dx = {grid.dx:g} "
+            f"(need delta >= 4*dx^2 = {4 * grid.dx**2:g})"
+        )
+
+
+def gaussian_window(centers, x, delta: float) -> np.ndarray:
+    """exp(-(c - x)^2 / (2*delta)) for every center c, broadcast against x."""
+    return np.exp(-((centers - x) ** 2) / (2.0 * delta))
 
 
 def make_grid(n: int, x_min: float, x_max: float) -> Grid:
@@ -197,7 +212,7 @@ def fourier_sum(f, src: np.ndarray, dst: np.ndarray, weight: float, sign: int, a
     f = np.asarray(f)
     n = src.size
     ds, dk = src[1] - src[0], dst[1] - dst[0]
-    if abs(ds * dk * n / (2.0 * math.pi) - 1.0) > 1e-12:
+    if abs(ds * dk * n / TWO_PI - 1.0) > 1e-12:
         raise ValueError("lattices are not Fourier-conjugate")
     f = np.moveaxis(f, axis, -1)
     inner = f * np.exp(sign * 1j * dst[0] * src)
@@ -214,7 +229,7 @@ def to_momentum(psi: WaveFunction) -> WaveFunction:
     if psi.basis is not Basis.POSITION:
         raise ValueError("to_momentum expects a position-basis state")
     g = psi.grid
-    amp = fourier_sum(psi.amp, g.x, g.p, g.dx / math.sqrt(2.0 * math.pi), sign=-1)
+    amp = fourier_sum(psi.amp, g.x, g.p, g.dx / math.sqrt(TWO_PI), sign=-1)
     return WaveFunction(g, Basis.MOMENTUM, amp)
 
 
@@ -222,7 +237,7 @@ def to_position(psi: WaveFunction) -> WaveFunction:
     if psi.basis is not Basis.MOMENTUM:
         raise ValueError("to_position expects a momentum-basis state")
     g = psi.grid
-    amp = fourier_sum(psi.amp, g.p, g.x, g.dp / math.sqrt(2.0 * math.pi), sign=+1)
+    amp = fourier_sum(psi.amp, g.p, g.x, g.dp / math.sqrt(TWO_PI), sign=+1)
     return WaveFunction(g, Basis.POSITION, amp)
 
 

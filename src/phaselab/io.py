@@ -212,13 +212,17 @@ def load_distribution(path) -> PhaseSpaceGrid:
         if path.suffix == ".csv" or first.startswith("x,"):
             return _distribution_from_table(_read_csv(fh, "x,p,value", first, path), path)
         doc = json.loads(first + fh.read())
-    n = int(doc["n"])
-    x = doc["x_min"] + doc["dx"] * np.arange(n)
-    p = doc["p_min"] + doc["dp"] * np.arange(len(doc["values"][0]))
+    try:
+        n = int(doc["n"])
+        x = doc["x_min"] + doc["dx"] * np.arange(n)
+        p = doc["p_min"] + doc["dp"] * np.arange(len(doc["values"][0]))
+        kind = DistributionKind(doc["kind"])
+    except (KeyError, IndexError, TypeError) as exc:
+        raise ValueError(f"{path}: distribution header lacks or mistypes field {exc}") from None
     return PhaseSpaceGrid(
         x=x,
         p=p,
-        kind=DistributionKind(doc["kind"]),
+        kind=kind,
         values=np.asarray(doc["values"]),
         delta=doc.get("delta"),
     )
@@ -242,12 +246,10 @@ def save_records(x: np.ndarray, p: np.ndarray, path) -> None:
     _write_csv(path, "shot,x,p", _column_chunks(f"%d,{FMT},{FMT}\n", columns))
 
 
-def save_report(docs: dict, verdicts: dict, out) -> str:
-    """``report.json`` (every source document and the overall verdict) and
-    ``report.txt``; returns the text."""
+def save_report(verdicts: dict, out) -> str:
+    """``report.txt`` from each source's verdict; returns the text."""
     out = Path(out)
     ok = all(verdicts.values())
-    save_json({"sources": docs, "pass": ok}, out / "report.json")
     lines = [f"{name}: {'PASS' if v else 'FAIL'}" for name, v in sorted(verdicts.items())]
     lines.append(f"overall: {'PASS' if ok else 'FAIL'}")
     text = "\n".join(lines) + "\n"

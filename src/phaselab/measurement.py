@@ -12,23 +12,22 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .core import (
+    TWO_PI,
     Basis,
     Grid,
-    ResolutionError,
     WaveFunction,
     as_momentum,
     as_position,
+    check_resolved,
     fourier_sum,
+    gaussian_window,
     normalize,
 )
 from .phasespace import DistributionKind, PhaseSpaceGrid
-
-TWO_PI = 2.0 * math.pi
 
 # Shots per sampling chunk.  Fixed so that the random substream layout (one
 # Philox stream per chunk) is independent of the worker count.
@@ -54,20 +53,11 @@ class GaussianMeasurement:
 
 
 @dataclass(frozen=True)
-class SampleRecord:
-    x: float
-    p: float
-    shot: int
-    stream_seed: int
-
-
-@dataclass(frozen=True)
 class SampleResult:
     """Outcome arrays of a successive-measurement run plus its histogram."""
 
     x: np.ndarray
     p: np.ndarray
-    stream_seed: int
     histogram: PhaseSpaceGrid
     rejected: int
 
@@ -75,17 +65,10 @@ class SampleResult:
     def shots(self) -> int:
         return self.x.size
 
-    def records(self):
-        for i in range(self.shots):
-            yield SampleRecord(float(self.x[i]), float(self.p[i]), i, self.stream_seed)
 
-
-def _check_resolved(grid: Grid, delta: float) -> None:
-    if delta < 4.0 * grid.dx**2:
-        raise ResolutionError(
-            f"delta = {delta:g} under-resolved on dx = {grid.dx:g} "
-            f"(need delta >= 4*dx^2 = {4 * grid.dx**2:g})"
-        )
+def _m_diag(grid: Grid, x, delta: float) -> np.ndarray:
+    """Diagonal of M(x) on the position lattice, one row per outcome if x is an array."""
+    return (delta * math.pi) ** -0.25 * gaussian_window(grid.x, x, delta)
 
 
 def m_density(psi: WaveFunction, delta: float) -> np.ndarray:
@@ -96,23 +79,16 @@ def m_density(psi: WaveFunction, delta: float) -> np.ndarray:
     """
     pos = as_position(psi)
     g = pos.grid
-    _check_resolved(g, delta)
-    kernel = np.exp(-((g.x[:, None] - g.x[None, :]) ** 2) / delta) / math.sqrt(delta * math.pi)
+    check_resolved(g, delta)
+    kernel = gaussian_window(g.x, g.x[:, None], delta / 2.0) / math.sqrt(delta * math.pi)
     return kernel @ (pos.density() * g.dx)
-
-
-def _collapse_unnormalized(psi: WaveFunction, x: float, delta: float) -> np.ndarray:
-    """Amplitudes of M(x)|psi> including the (delta*pi)^(-1/4) prefactor."""
-    pos = as_position(psi)
-    window = np.exp(-((x - pos.grid.x) ** 2) / (2.0 * delta))
-    return (delta * math.pi) ** -0.25 * window * pos.amp
 
 
 def apply_m(psi: WaveFunction, meas: GaussianMeasurement) -> WaveFunction:
     """Normalized post-measurement state M(x)|psi> / ||M(x)|psi>||."""
     pos = as_position(psi)
-    _check_resolved(pos.grid, meas.delta)
-    amp = _collapse_unnormalized(pos, meas.x, meas.delta)
+    check_resolved(pos.grid, meas.delta)
+    amp = _m_diag(pos.grid, meas.x, meas.delta) * pos.amp
     out = WaveFunction(pos.grid, Basis.POSITION, amp)
     if out.norm() <= MIN_COLLAPSE_NORM:
         raise OutcomeIncompatibleError(
@@ -129,10 +105,10 @@ def successive_density(psi: WaveFunction, delta: float) -> PhaseSpaceGrid:
     """
     pos = as_position(psi)
     g = pos.grid
-    _check_resolved(g, delta)
+    check_resolved(g, delta)
     values = np.empty((g.n, g.n))
     for k in range(g.n):
-        amp = _collapse_unnormalized(pos, float(g.x[k]), delta)
+        amp = _m_diag(g, float(g.x[k]), delta) * pos.amp
         phi = fourier_sum(amp, g.x, g.p, g.dx / math.sqrt(TWO_PI), sign=-1)
         values[k] = np.abs(phi) ** 2
     return PhaseSpaceGrid(
@@ -141,30 +117,19 @@ def successive_density(psi: WaveFunction, delta: float) -> PhaseSpaceGrid:
 
 
 def _inverse_cdf(density: np.ndarray, left_edge: float, spacing: float, u: np.ndarray) -> np.ndarray:
-    """Draw from a piecewise-constant density over cells centered on a lattice.
+    """Draw from piecewise-constant densities over cells centered on a lattice.
 
-    The CDF is linear inside each cell, so the draw is a cell lookup plus a
-    linear interpolation; outcomes are continuous reals.
+    `density` is one row shared by every uniform in `u`, or one row per
+    uniform.  The CDF is linear inside each cell, so a draw is a cell lookup
+    plus a linear interpolation; outcomes are continuous reals.
     """
     mass = np.maximum(density, 0.0) * spacing
-    cdf = np.cumsum(mass)
-    total = cdf[-1]
-    idx = np.searchsorted(cdf, u * total, side="left")
-    idx = np.minimum(idx, density.size - 1)
-    below = np.where(idx > 0, cdf[idx - 1], 0.0)
-    frac = np.clip((u * total - below) / np.maximum(mass[idx], 1e-300), 0.0, 1.0)
-    return left_edge + (idx + frac) * spacing
-
-
-def _rows_inverse_cdf(densities: np.ndarray, left_edge: float, spacing: float, u: np.ndarray) -> np.ndarray:
-    """Vectorized per-row inverse-CDF draw: one density row and one uniform per shot."""
-    mass = np.maximum(densities, 0.0) * spacing
-    cdf = np.cumsum(mass, axis=1)
-    total = cdf[:, -1]
-    target = u * total
-    idx = (cdf < target[:, None]).sum(axis=1)
-    idx = np.minimum(idx, densities.shape[1] - 1)
-    rows = np.arange(densities.shape[0])
+    cdf = np.cumsum(mass, axis=-1)
+    shape = (u.size, mass.shape[-1])
+    mass, cdf = np.broadcast_to(mass, shape), np.broadcast_to(cdf, shape)
+    target = u * cdf[:, -1]
+    idx = np.minimum((cdf < target[:, None]).sum(axis=1), shape[1] - 1)
+    rows = np.arange(u.size)
     below = np.where(idx > 0, cdf[rows, np.maximum(idx - 1, 0)], 0.0)
     frac = np.clip((target - below) / np.maximum(mass[rows, idx], 1e-300), 0.0, 1.0)
     return left_edge + (idx + frac) * spacing
@@ -193,8 +158,7 @@ def _sample_chunk(pos, px, delta, seed, chunk_index, count):
     xs = _inverse_cdf(px, left_x, g.dx, u[:, 0])
     # reject deep-tail outcomes (practically unreachable) and redraw
     for _ in range(64):
-        windows = np.exp(-((xs[:, None] - g.x[None, :]) ** 2) / (2.0 * delta))
-        amps = (delta * math.pi) ** -0.25 * windows * pos.amp[None, :]
+        amps = _m_diag(g, xs[:, None], delta) * pos.amp[None, :]
         norms2 = np.sum(np.abs(amps) ** 2, axis=1) * g.dx
         bad = norms2 <= MIN_COLLAPSE_NORM**2
         if not np.any(bad):
@@ -203,7 +167,7 @@ def _sample_chunk(pos, px, delta, seed, chunk_index, count):
         xs[bad] = _inverse_cdf(px, left_x, g.dx, rng.random(int(bad.sum())))
     phi = fourier_sum(amps, g.x, g.p, g.dx / math.sqrt(TWO_PI), sign=-1, axis=-1)
     pdens = np.abs(phi) ** 2
-    ps = _rows_inverse_cdf(pdens, left_p, g.dp, u[:, 1])
+    ps = _inverse_cdf(pdens, left_p, g.dp, u[:, 1])
     return xs, ps, rejected
 
 
@@ -224,17 +188,15 @@ def sample_joint(
         raise ValueError(f"shots must be non-negative, got {shots}")
     pos = as_position(psi)
     g = pos.grid
+    check_resolved(g, delta)
     nx_bins, np_bins = bins
     x_edges = np.linspace(g.x[0] - g.dx / 2.0, g.x[-1] + g.dx / 2.0, nx_bins + 1)
     p_edges = np.linspace(g.p[0] - g.dp / 2.0, g.p[-1] + g.dp / 2.0, np_bins + 1)
 
     if shots == 0:
         hist = _histogram(np.empty(0), np.empty(0), x_edges, p_edges, 0)
-        return SampleResult(
-            x=np.empty(0), p=np.empty(0), stream_seed=seed, histogram=hist, rejected=0
-        )
+        return SampleResult(x=np.empty(0), p=np.empty(0), histogram=hist, rejected=0)
 
-    _check_resolved(g, delta)
     px = m_density(pos, delta)
     n_chunks = (shots + CHUNK - 1) // CHUNK
     sizes = [min(CHUNK, shots - c * CHUNK) for c in range(n_chunks)]
@@ -253,7 +215,7 @@ def sample_joint(
     ps = np.concatenate([p[1] for p in parts])
     rejected = sum(p[2] for p in parts)
     hist = _histogram(xs, ps, x_edges, p_edges, shots)
-    return SampleResult(x=xs, p=ps, stream_seed=seed, histogram=hist, rejected=rejected)
+    return SampleResult(x=xs, p=ps, histogram=hist, rejected=rejected)
 
 
 def _histogram(xs, ps, x_edges, p_edges, shots) -> PhaseSpaceGrid:
@@ -327,28 +289,23 @@ def conditional_q(q: PhaseSpaceGrid, psi: WaveFunction, p: float) -> Conditional
     )
 
 
-def _coherent_matrix(grid: Grid, x: float, delta: float) -> np.ndarray:
-    """Columns <x_j|x, p_l; delta> over the momentum lattice."""
-    env = (delta * math.pi) ** -0.25 * np.exp(-((x - grid.x) ** 2) / (2.0 * delta))
-    return env[:, None] * np.exp(1j * np.outer(grid.x, grid.p))
+def _coherent_projector_sum(grid: Grid, x: float, delta: float) -> np.ndarray:
+    """Matrix of Int dp |x,p><x,p| in the lattice representation (dx folded in)."""
+    # columns <x_j|x, p_l; delta> over the momentum lattice
+    phi = _m_diag(grid, x, delta)[:, None] * np.exp(1j * np.outer(grid.x, grid.p))
+    return (phi @ phi.conj().T) * grid.dp * grid.dx
 
 
-def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(mat)
+def _trace_scale(grid: Grid, x: float, delta: float) -> tuple:
+    """sqrt(Int dp |x,p><x,p|) and the scalar that matches its trace to that of M(x)."""
+    if grid.n > 64:
+        raise ValueError("dense operator checks are restricted to grids of n <= 64")
+    vals, vecs = np.linalg.eigh(_coherent_projector_sum(grid, x, delta))
     if vals.min() < -1e-10:
         raise ArithmeticError(f"operator not PSD: min eigenvalue {vals.min():.3g}")
     vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
-
-
-def _m_diag(grid: Grid, x: float, delta: float) -> np.ndarray:
-    return (delta * math.pi) ** -0.25 * np.exp(-((x - grid.x) ** 2) / (2.0 * delta))
-
-
-def _coherent_projector_sum(grid: Grid, x: float, delta: float) -> np.ndarray:
-    """Matrix of Int dp |x,p><x,p| in the lattice representation (dx folded in)."""
-    phi = _coherent_matrix(grid, x, delta)
-    return (phi @ phi.conj().T) * grid.dp * grid.dx
+    root = (vecs * np.sqrt(vals)) @ vecs.conj().T
+    return root, float(np.sum(_m_diag(grid, x, delta)).real / np.trace(root).real)
 
 
 def sqrt_form_check(grid: Grid, x: float, delta: float) -> float:
@@ -358,13 +315,8 @@ def sqrt_form_check(grid: Grid, x: float, delta: float) -> float:
     normalization is fixed by trace matching; the remaining comparison is a
     full operator equality.
     """
-    if grid.n > 64:
-        raise ValueError("sqrt_form_check is restricted to dense-feasible grids (n <= 64)")
-    K = _coherent_projector_sum(grid, x, delta)
-    root = _psd_sqrt(K)
-    m = _m_diag(grid, x, delta)
-    scale = float(np.sum(m).real / np.trace(root).real)
-    return float(np.max(np.abs(scale * root - np.diag(m))))
+    root, scale = _trace_scale(grid, x, delta)
+    return float(np.max(np.abs(scale * root - np.diag(_m_diag(grid, x, delta)))))
 
 
 def _outcome_lattice(grid: Grid, delta: float) -> np.ndarray:
@@ -381,7 +333,7 @@ def povm_completeness(grid: Grid, delta: float) -> float:
     deviation of the summed Gaussian weights from 1.
     """
     xs = _outcome_lattice(grid, delta)
-    weights = np.exp(-((xs[:, None] - grid.x[None, :]) ** 2) / delta)
+    weights = gaussian_window(grid.x, xs[:, None], delta / 2.0)
     total = weights.sum(axis=0) * grid.dx / math.sqrt(delta * math.pi)
     return float(np.max(np.abs(total - 1.0)))
 
@@ -389,13 +341,8 @@ def povm_completeness(grid: Grid, delta: float) -> float:
 def identity_composition_deviation(grid: Grid, delta: float) -> float:
     """L-inf deviation of Int dx M^2(x) from the identity, with M^2 assembled
     from the coherent-state projector sum as in sqrt_form_check."""
-    if grid.n > 64:
-        raise ValueError("dense identity check restricted to n <= 64")
-    # scalar fixed once by trace matching at a reference outcome
-    x_ref = 0.0
-    K = _coherent_projector_sum(grid, x_ref, delta)
-    root = _psd_sqrt(K)
-    scale = float(np.sum(_m_diag(grid, x_ref, delta)).real / np.trace(root).real)
+    # scalar fixed once by trace matching at a reference outcome x = 0
+    _, scale = _trace_scale(grid, 0.0, delta)
     total = np.zeros((grid.n, grid.n), dtype=np.complex128)
     for x in _outcome_lattice(grid, delta):
         total += scale**2 * _coherent_projector_sum(grid, float(x), delta) * grid.dx

@@ -15,17 +15,16 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    Basis,
+    TWO_PI,
     Grid,
     Observable,
-    ResolutionError,
     WaveFunction,
     as_momentum,
     as_position,
+    check_resolved,
     fourier_sum,
+    gaussian_window,
 )
-
-TWO_PI = 2.0 * math.pi
 
 
 class DistributionKind(str, Enum):
@@ -151,16 +150,6 @@ def wigner(psi: WaveFunction) -> PhaseSpaceGrid:
     return PhaseSpaceGrid(x=g.x, p=g.p, kind=DistributionKind.WIGNER, values=w.real)
 
 
-def _check_window(grid: Grid, delta: float) -> None:
-    if delta <= 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    if delta < 4.0 * grid.dx**2:
-        raise ResolutionError(
-            f"delta = {delta:g} under-resolved on spacing dx = {grid.dx:g} "
-            f"(need delta >= 4*dx^2 = {4 * grid.dx**2:g})"
-        )
-
-
 def husimi(psi: WaveFunction, delta: float = 1.0) -> PhaseSpaceGrid:
     """Q(x, p; delta) = |<x, p; delta|psi>|^2 / (2*pi).
 
@@ -170,9 +159,8 @@ def husimi(psi: WaveFunction, delta: float = 1.0) -> PhaseSpaceGrid:
     """
     pos = as_position(psi)
     g = pos.grid
-    _check_window(g, delta)
-    window = np.exp(-((g.x[:, None] - g.x[None, :]) ** 2) / (2.0 * delta))
-    rows = window * pos.amp[None, :]
+    check_resolved(g, delta)
+    rows = gaussian_window(g.x, g.x[:, None], delta) * pos.amp[None, :]
     overlap = fourier_sum(rows, g.x, g.p, g.dx, sign=-1, axis=-1)
     q = (1.0 / TWO_PI) / math.sqrt(delta * math.pi) * np.abs(overlap) ** 2
     return PhaseSpaceGrid(x=g.x, p=g.p, kind=DistributionKind.HUSIMI, values=q, delta=float(delta))
@@ -210,30 +198,32 @@ def marginal(dist: PhaseSpaceGrid, axis: MarginalAxis) -> np.ndarray:
     return np.sum(dist.values, axis=0) * dist.dx
 
 
-# Ordering corrections for the polynomial observables, pinned by the
-# pre-build oracle in the test suite (constancy across random states):
-# the Wigner symbols of x^2 and p^2 carry no constant, so c2x = c2p = 0.
-C2X = 0.0
-C2P = 0.0
+def _polynomial(x: np.ndarray, p: np.ndarray, obs: Observable) -> np.ndarray:
+    """The observable as a polynomial in (x, p) on the lattice x[i], p[j].
+
+    It is both the Wigner symbol and the raw Husimi-moment integrand: the
+    symbols of x^2 and p^2 carry no ordering constant (pinned by the
+    constancy oracle in the test suite).
+    """
+    X = x[:, None] + 0.0 * p[None, :]
+    P = 0.0 * x[:, None] + p[None, :]
+    if obs is Observable.X:
+        return X
+    if obs is Observable.P:
+        return P
+    if obs is Observable.X2:
+        return X**2
+    if obs is Observable.P2:
+        return P**2
+    if obs is Observable.NUMBER:
+        return (X**2 + P**2 - 1.0) / 2.0
+    raise ValueError(f"unsupported observable {obs}")
 
 
 def observable_wigner(grid: Grid, obs: Observable) -> PhaseSpaceGrid:
     """Wigner symbol of a polynomial observable, scaled so that
     trace_product(wigner(psi), observable_wigner(grid, A)) = <A>."""
-    X = grid.x[:, None] + 0.0 * grid.p[None, :]
-    P = 0.0 * grid.x[:, None] + grid.p[None, :]
-    if obs is Observable.X:
-        sym = X
-    elif obs is Observable.P:
-        sym = P
-    elif obs is Observable.X2:
-        sym = X**2 - C2X
-    elif obs is Observable.P2:
-        sym = P**2 - C2P
-    elif obs is Observable.NUMBER:
-        sym = (X**2 - C2X + P**2 - C2P - 1.0) / 2.0
-    else:
-        raise ValueError(f"unsupported observable {obs}")
+    sym = _polynomial(grid.x, grid.p, obs)
     return PhaseSpaceGrid(
         x=grid.x, p=grid.p, kind=DistributionKind.WIGNER, values=sym / TWO_PI
     )
@@ -272,19 +262,5 @@ def q_moment(q: PhaseSpaceGrid, obs: Observable) -> float:
         raise ValueError("q_moment requires a Husimi-kind grid")
     if q.delta is None:
         raise ValueError("Husimi grid is missing its delta parameter")
-    X = q.x[:, None]
-    P = q.p[None, :]
-    if obs is Observable.X:
-        poly = X + 0.0 * P
-    elif obs is Observable.P:
-        poly = 0.0 * X + P
-    elif obs is Observable.X2:
-        poly = X**2 + 0.0 * P
-    elif obs is Observable.P2:
-        poly = 0.0 * X + P**2
-    elif obs is Observable.NUMBER:
-        poly = (X**2 + P**2 - 1.0) / 2.0
-    else:
-        raise ValueError(f"unsupported observable {obs}")
-    raw = float(np.sum(poly * q.values)) * q.weight
+    raw = float(np.sum(_polynomial(q.x, q.p, obs) * q.values)) * q.weight
     return raw - moment_correction(obs, q.delta)

@@ -15,17 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    Basis,
+    TWO_PI,
     EnvelopeError,
     Grid,
     WaveFunction,
     as_position,
     fourier_sum,
+    gaussian_window,
 )
 from .measurement import successive_density
 from .phasespace import DistributionKind, PhaseSpaceGrid
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -81,8 +80,7 @@ def make_composite(device_grid: Grid, delta: float, psi: WaveFunction) -> Compos
     """Product of the normalized device Gaussian exp(-x^2/(2*delta)) with the system state."""
     if delta <= 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
-    xd = device_grid.x
-    env = np.exp(-(xd**2) / (2.0 * delta))
+    env = gaussian_window(device_grid.x, 0.0, delta)
     if max(env[0], env[-1]) > 1e-12:
         raise EnvelopeError("device Gaussian does not decay at the device grid edges")
     env = env / math.sqrt(float(np.sum(env**2)) * device_grid.dx)

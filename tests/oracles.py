@@ -136,3 +136,16 @@ def read_state_csv(text):
     xs = np.array([float(r[0]) for r in rows])
     amp = np.array([float(r[1]) + 1j * float(r[2]) for r in rows])
     return xs, amp
+
+
+def inverse_cdf_row(density, left_edge, spacing, u):
+    """Inverse-CDF draws from one shared density row, with the cell found by
+    ``np.searchsorted``: the sampler's x draw as first written."""
+    mass = np.maximum(density, 0.0) * spacing
+    cdf = np.cumsum(mass)
+    total = cdf[-1]
+    idx = np.searchsorted(cdf, u * total, side="left")
+    idx = np.minimum(idx, density.size - 1)
+    below = np.where(idx > 0, cdf[idx - 1], 0.0)
+    frac = np.clip((u * total - below) / np.maximum(mass[idx], 1e-300), 0.0, 1.0)
+    return left_edge + (idx + frac) * spacing

@@ -158,6 +158,12 @@ class TestDistributionIO:
         with pytest.raises(ValueError):
             load_distribution(path)
 
+    def test_json_missing_field_names_it(self, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_text("{}")
+        with pytest.raises(ValueError, match="'n'"):
+            load_distribution(path)
+
 
 class TestRunConfig:
     def test_json_roundtrip_lossless(self):
@@ -250,6 +256,12 @@ class TestCmdSample:
             assert main(["sample", "--shots", "5000", "--seed", "7", "--out", str(out)]) == 0
         assert (a / "records.csv").read_bytes() == (b / "records.csv").read_bytes()
 
+    def test_non_positive_delta_one_line_error(self, tmp_path, capsys):
+        assert main(["sample", "--delta", "-1", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [") and err.count("\n") == 1
+        assert "delta must be positive" in err
+
 
 class TestCmdPointer:
     def test_vacuum_unit_coupling_passes(self, tmp_path):
@@ -293,3 +305,21 @@ class TestConfigFile:
         assert "warning" in capsys.readouterr().err
         meta = json.loads((tmp_path / "state.meta.json").read_text())
         assert meta["mean_x"] == pytest.approx(2.0, abs=1e-6)
+
+    def test_omitted_fields_keep_flags(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text('{"shots": 10}')
+        assert main(["state", "--config", "cfg.json", "--out", "elsewhere"]) == 0
+        assert (tmp_path / "elsewhere" / "state.json").is_file()
+        assert not (tmp_path / "state.json").exists()
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("text", ['{"shot": 10}', '{"shots": 10', None],
+                             ids=["unknown-field", "malformed-json", "missing-file"])
+    def test_bad_config_one_line_error(self, tmp_path, capsys, text):
+        cfg_path = tmp_path / "cfg.json"
+        if text is not None:
+            cfg_path.write_text(text)
+        assert main(["state", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [cli]: ") and err.count("\n") == 1

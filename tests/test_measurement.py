@@ -30,6 +30,7 @@ from phaselab import (
 from phaselab.core import Basis, ResolutionError, WaveFunction, as_momentum, to_position
 from phaselab.measurement import (
     OutcomeIncompatibleError,
+    _inverse_cdf,
     coarsen,
     identity_composition_deviation,
 )
@@ -231,8 +232,64 @@ class TestSampler:
         res = sample_joint(vacuum, 1.0, 2000, seed=3)
         assert np.all(res.x >= grid.x[0] - grid.dx) and np.all(res.x <= grid.x[-1] + grid.dx)
         assert np.all(res.p >= grid.p[0] - grid.dp) and np.all(res.p <= grid.p[-1] + grid.dp)
-        records = list(res.records())
-        assert records[5].shot == 5 and records[5].stream_seed == 3
+
+
+class TestInverseCdf:
+    @staticmethod
+    def _density(rng, n=64):
+        # zero-mass cells, tiny negative densities (clipped to zero mass) and
+        # ordinary cells
+        dens = rng.random(n)
+        dens[rng.random(n) < 0.3] = 0.0
+        dens[rng.random(n) < 0.1] = -1e-18
+        dens[:3] = 0.0
+        return dens
+
+    @staticmethod
+    def _uniforms(rng, count=2000):
+        u = rng.random(count)
+        u[:4] = [0.0, 0.0, 1.0 - 2**-53, 0.5]
+        return u
+
+    def test_shared_row_matches_searchsorted_reference(self, rng):
+        dens, u = self._density(rng), self._uniforms(rng)
+        got = _inverse_cdf(dens, -3.0, 0.125, u)
+        assert np.array_equal(got, oracles.inverse_cdf_row(dens, -3.0, 0.125, u))
+
+    def test_cell_index_is_searchsorted_left(self, rng):
+        dens, u = self._density(rng), self._uniforms(rng)
+        cdf = np.cumsum(np.maximum(dens, 0.0))
+        idx = np.minimum(np.searchsorted(cdf, u * cdf[-1], "left"), dens.size - 1)
+        draws = _inverse_cdf(dens, 0.0, 1.0, u)
+        assert np.all((draws >= idx) & (draws <= idx + 1))
+        inside = (draws > idx) & (draws < idx + 1)
+        assert np.all(dens[idx[inside]] > 0.0)  # no draw inside a zero-mass cell
+        assert draws[0] == draws[1] == 0.0  # u = 0 is the left edge of the lattice
+
+    def test_shared_row_equals_broadcast_rows(self, rng):
+        dens, u = self._density(rng), self._uniforms(rng)
+        rows = np.repeat(dens[None, :], u.size, axis=0)
+        assert np.array_equal(_inverse_cdf(dens, 1.5, 0.25, u), _inverse_cdf(rows, 1.5, 0.25, u))
+
+    def test_rows_draw_each_row_like_the_reference(self, rng):
+        rows = np.stack([self._density(rng) for _ in range(50)])
+        u = self._uniforms(rng, 50)
+        want = [oracles.inverse_cdf_row(r, -1.0, 0.5, u[i:i + 1])[0] for i, r in enumerate(rows)]
+        assert np.array_equal(_inverse_cdf(rows, -1.0, 0.5, u), np.array(want))
+
+
+class TestDeltaPositive:
+    @pytest.mark.parametrize("delta", [0.0, -1.0])
+    @pytest.mark.parametrize("call", [
+        lambda psi, d: husimi(psi, d),
+        lambda psi, d: m_density(psi, d),
+        lambda psi, d: successive_density(psi, d),
+        lambda psi, d: sample_joint(psi, d, 100, seed=1),
+        lambda psi, d: sample_joint(psi, d, 0, seed=1),
+    ], ids=["husimi", "m_density", "successive_density", "sample_joint", "sample_joint-0-shots"])
+    def test_non_positive_delta_rejected(self, vacuum, call, delta):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            call(vacuum, delta)
 
 
 class TestConditional:
