@@ -89,7 +89,23 @@ class RunConfig:
         return cls(**_config_fields(json.loads(text)))
 
 
-_FIELDS = tuple(f.name for f in fields(RunConfig))
+# Field name -> declared type name ("int", "float", "str" or "tuple").
+_FIELDS = {f.name: f.type for f in fields(RunConfig)}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _has_type(value, kind: str) -> bool:
+    """Whether a decoded JSON value fits a field declared as `kind`."""
+    if kind == "tuple":
+        return isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_int, value))
+    if kind == "int":
+        return _is_int(value)
+    if kind == "float":
+        return _is_int(value) or isinstance(value, float)
+    return isinstance(value, str)
 
 
 def _config_fields(doc) -> dict:
@@ -99,6 +115,10 @@ def _config_fields(doc) -> dict:
     unknown = sorted(set(doc) - set(_FIELDS))
     if unknown:
         raise ConfigError(f"unknown field(s) {', '.join(unknown)}")
+    for name, value in doc.items():
+        kind = _FIELDS[name]
+        if not _has_type(value, kind):
+            raise ConfigError(f"field {name} must be {'two ints' if kind == 'tuple' else kind}")
     if "bins" in doc:
         doc["bins"] = tuple(doc["bins"])
     return doc
@@ -254,7 +274,7 @@ def cmd_report(cfg: RunConfig) -> tuple:
         for name, doc in docs.items()
     }
     print(plio.save_report(verdicts, out), end="")
-    ok = all(verdicts.values())
+    ok = bool(verdicts) and all(verdicts.values())
     return "report.json", {"sources": docs, "pass": ok}, ok
 
 

@@ -247,10 +247,13 @@ def save_records(x: np.ndarray, p: np.ndarray, path) -> None:
 
 
 def save_report(verdicts: dict, out) -> str:
-    """``report.txt`` from each source's verdict; returns the text."""
+    """``report.txt`` from each source's verdict; returns the text.  A directory
+    without sources fails."""
     out = Path(out)
-    ok = all(verdicts.values())
+    ok = bool(verdicts) and all(verdicts.values())
     lines = [f"{name}: {'PASS' if v else 'FAIL'}" for name, v in sorted(verdicts.items())]
+    if not verdicts:
+        lines.append(f"no *.report.json or *.summary.json in {out}")
     lines.append(f"overall: {'PASS' if ok else 'FAIL'}")
     text = "\n".join(lines) + "\n"
     (out / "report.txt").write_text(text)

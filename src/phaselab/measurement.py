@@ -4,6 +4,16 @@ The measurement operator M(x) = (delta*pi)^(-1/4) exp(-(x - x_op)^2/(2*delta))
 collapses the state on outcome x; a projective momentum measurement follows.
 The joint outcome density of that two-step protocol is the Husimi function,
 verified here both analytically on the lattice and by Monte Carlo sampling.
+
+The sampler draws shots in chunks of CHUNK, one Philox substream per chunk.
+A chunk draws every x from the M^2 outcome density, then makes one pass over
+blocks of BLOCK outcomes: the window M(x) times psi_j (-1)^j, a bare FFT, its
+squared modulus as the momentum density, the collapse norm from that density
+by Parseval, and the p draw.  The phases that ``fourier_sum`` applies before
+and after its FFT have unit modulus (p_0 dx = -pi makes the input phase a
+constant times (-1)^j), so they drop out of |<p|M(x)|psi>|^2 and are never
+computed.  Outcomes whose collapse norm is at most MIN_COLLAPSE_NORM are
+redrawn afterwards, in row order, and only their rows are recomputed.
 """
 
 from __future__ import annotations
@@ -33,7 +43,13 @@ from .phasespace import DistributionKind, PhaseSpaceGrid
 # Philox stream per chunk) is independent of the worker count.
 CHUNK = 4096
 
+# Outcome rows per block of a chunk, so that a block's window, amplitudes and
+# momentum density stay in L2 (at n = 256 a block's amplitudes are 512 KiB).
+BLOCK = 128
+
 MIN_COLLAPSE_NORM = 1e-12
+# Redraw rounds for outcomes whose collapse norm is at or below MIN_COLLAPSE_NORM.
+MAX_REDRAWS = 64
 
 
 class OutcomeIncompatibleError(ValueError):
@@ -123,19 +139,27 @@ def _inverse_cdf(density: np.ndarray, left_edge: float, spacing: float, u: np.nd
     uniform.  The CDF is linear inside each cell, so a draw is a cell lookup
     plus a linear interpolation; outcomes are continuous reals.
     """
-    mass = np.maximum(density, 0.0) * spacing
+    mass = np.maximum(density, 0.0)
+    mass *= spacing
     cdf = np.cumsum(mass, axis=-1)
-    shape = (u.size, mass.shape[-1])
-    mass, cdf = np.broadcast_to(mass, shape), np.broadcast_to(cdf, shape)
-    target = u * cdf[:, -1]
-    idx = np.minimum((cdf < target[:, None]).sum(axis=1), shape[1] - 1)
-    rows = np.arange(u.size)
-    below = np.where(idx > 0, cdf[rows, np.maximum(idx - 1, 0)], 0.0)
-    frac = np.clip((target - below) / np.maximum(mass[rows, idx], 1e-300), 0.0, 1.0)
+    if density.ndim == 1:
+        target = u * cdf[-1]
+        # the count of CDF values below the target, found by bisection
+        idx = np.minimum(np.searchsorted(cdf, target, side="left"), cdf.size - 1)
+        below = np.where(idx > 0, cdf[np.maximum(idx - 1, 0)], 0.0)
+        cell = mass[idx]
+    else:
+        rows = np.arange(u.size)
+        target = u * cdf[:, -1]
+        idx = np.minimum((cdf < target[:, None]).sum(axis=1), cdf.shape[1] - 1)
+        below = np.where(idx > 0, cdf[rows, np.maximum(idx - 1, 0)], 0.0)
+        cell = mass[rows, idx]
+    frac = np.clip((target - below) / np.maximum(cell, 1e-300), 0.0, 1.0)
     return left_edge + (idx + frac) * spacing
 
 
-def _worker_count() -> int:
+def _worker_count(n_chunks: int) -> int:
+    """PHASESPACE_THREADS workers (unset: 1, 0: one per CPU), at most one per chunk."""
     raw = os.environ.get("PHASESPACE_THREADS", "1")
     try:
         workers = int(raw)
@@ -143,7 +167,29 @@ def _worker_count() -> int:
         workers = 1
     if workers == 0:
         workers = os.cpu_count() or 1
-    return max(1, workers)
+    return max(1, min(workers, n_chunks))
+
+
+def _collapse_draws(grid: Grid, psi_alt: np.ndarray, delta: float, xs: np.ndarray, u: np.ndarray):
+    """Momentum draws and squared collapse norms ||M(x)psi||^2 for outcomes `xs`.
+
+    `psi_alt` is psi_j * (-1)^j.  The bare FFT of M(x)psi_alt differs from
+    <p|M(x)|psi> only by a unit-modulus phase per p and the factor
+    dx/sqrt(2 pi), and neither moves a draw, so its squared modulus serves as
+    the momentum density.  By Parseval, the squared norm is the sum of that
+    density times dx/n.
+    """
+    ps = np.empty(xs.size)
+    norms2 = np.empty(xs.size)
+    left_p = grid.p[0] - grid.dp / 2.0
+    for lo in range(0, xs.size, BLOCK):
+        rows = slice(lo, lo + BLOCK)
+        phi = np.fft.fft(_m_diag(grid, xs[rows, None], delta) * psi_alt, axis=-1)
+        pdens = np.square(phi.real)
+        pdens += np.square(phi.imag)
+        norms2[rows] = pdens.sum(axis=1) * (grid.dx / grid.n)
+        ps[rows] = _inverse_cdf(pdens, left_p, grid.dp, u[rows])
+    return ps, norms2
 
 
 def _sample_chunk(pos, px, delta, seed, chunk_index, count):
@@ -152,22 +198,26 @@ def _sample_chunk(pos, px, delta, seed, chunk_index, count):
     bg = np.random.Philox(key=np.array([seed, chunk_index], dtype=np.uint64))
     rng = np.random.Generator(bg)
     u = rng.random((count, 2))
-    rejected = 0
     left_x = g.x[0] - g.dx / 2.0
-    left_p = g.p[0] - g.dp / 2.0
+    psi_alt = pos.amp.copy()
+    psi_alt[1::2] *= -1.0
     xs = _inverse_cdf(px, left_x, g.dx, u[:, 0])
-    # reject deep-tail outcomes (practically unreachable) and redraw
-    for _ in range(64):
-        amps = _m_diag(g, xs[:, None], delta) * pos.amp[None, :]
-        norms2 = np.sum(np.abs(amps) ** 2, axis=1) * g.dx
-        bad = norms2 <= MIN_COLLAPSE_NORM**2
-        if not np.any(bad):
+    ps, norms2 = _collapse_draws(g, psi_alt, delta, xs, u[:, 1])
+    # reject deep-tail outcomes (practically unreachable) and redraw, in row order
+    bad = np.flatnonzero(norms2 <= MIN_COLLAPSE_NORM**2)
+    rejected = 0
+    for _ in range(MAX_REDRAWS):
+        if bad.size == 0:
             break
-        rejected += int(bad.sum())
-        xs[bad] = _inverse_cdf(px, left_x, g.dx, rng.random(int(bad.sum())))
-    phi = fourier_sum(amps, g.x, g.p, g.dx / math.sqrt(TWO_PI), sign=-1, axis=-1)
-    pdens = np.abs(phi) ** 2
-    ps = _inverse_cdf(pdens, left_p, g.dp, u[:, 1])
+        rejected += bad.size
+        xs[bad] = _inverse_cdf(px, left_x, g.dx, rng.random(bad.size))
+        ps[bad], norms2[bad] = _collapse_draws(g, psi_alt, delta, xs[bad], u[bad, 1])
+        bad = bad[norms2[bad] <= MIN_COLLAPSE_NORM**2]
+    if bad.size:
+        raise OutcomeIncompatibleError(
+            f"{bad.size} outcome(s) of sampling chunk {chunk_index} still have collapse norm "
+            f"<= {MIN_COLLAPSE_NORM:g} after {MAX_REDRAWS} redraws"
+        )
     return xs, ps, rejected
 
 
@@ -204,8 +254,8 @@ def sample_joint(
     def run(c):
         return _sample_chunk(pos, px, delta, seed, c, sizes[c])
 
-    workers = _worker_count()
-    if workers > 1 and n_chunks > 1:
+    workers = _worker_count(n_chunks)
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
             parts = list(ex.map(run, range(n_chunks)))
     else:

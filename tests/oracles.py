@@ -149,3 +149,44 @@ def inverse_cdf_row(density, left_edge, spacing, u):
     below = np.where(idx > 0, cdf[idx - 1], 0.0)
     frac = np.clip((u * total - below) / np.maximum(mass[idx], 1e-300), 0.0, 1.0)
     return left_edge + (idx + frac) * spacing
+
+
+def inverse_cdf_rows(density, left_edge, spacing, u):
+    """Inverse-CDF draws, one density row per uniform, with the cell index
+    counted as the number of CDF values below the target."""
+    mass = np.maximum(density, 0.0) * spacing
+    cdf = np.cumsum(mass, axis=1)
+    target = u * cdf[:, -1]
+    idx = np.minimum((cdf < target[:, None]).sum(axis=1), density.shape[1] - 1)
+    rows = np.arange(u.size)
+    below = np.where(idx > 0, cdf[rows, np.maximum(idx - 1, 0)], 0.0)
+    frac = np.clip((target - below) / np.maximum(mass[rows, idx], 1e-300), 0.0, 1.0)
+    return left_edge + (idx + frac) * spacing
+
+
+def sample_chunk_reference(pos, px, delta, seed, chunk_index, count, min_norm):
+    """One sampler chunk as first written: every round rebuilds the whole
+    window, takes the collapse norm from the amplitudes and, after the last
+    round, draws p from ``fourier_sum`` of the final collapse.  Returns
+    (x, p, rejected)."""
+    from phaselab.core import fourier_sum
+
+    g = pos.grid
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, chunk_index], dtype=np.uint64)))
+    u = rng.random((count, 2))
+    rejected = 0
+    left_x = g.x[0] - g.dx / 2.0
+    left_p = g.p[0] - g.dp / 2.0
+    xs = inverse_cdf_row(px, left_x, g.dx, u[:, 0])
+    for _ in range(64):
+        window = np.exp(-((g.x - xs[:, None]) ** 2) / (2.0 * delta))
+        amps = (delta * np.pi) ** -0.25 * window * pos.amp[None, :]
+        norms2 = np.sum(np.abs(amps) ** 2, axis=1) * g.dx
+        bad = norms2 <= min_norm**2
+        if not np.any(bad):
+            break
+        rejected += int(bad.sum())
+        xs[bad] = inverse_cdf_row(px, left_x, g.dx, rng.random(int(bad.sum())))
+    phi = fourier_sum(amps, g.x, g.p, g.dx / np.sqrt(2.0 * np.pi), sign=-1, axis=-1)
+    ps = inverse_cdf_rows(np.abs(phi) ** 2, left_p, g.dp, u[:, 1])
+    return xs, ps, rejected

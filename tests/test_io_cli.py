@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from phaselab import coherent_state, fock_state, husimi, make_grid, wigner
+from phaselab import coherent_state, fock_state, husimi, make_grid, measurement, wigner
 from phaselab.cli import RunConfig, main
 from phaselab.core import Basis, as_momentum
 from phaselab.io import (
@@ -262,6 +262,14 @@ class TestCmdSample:
         assert err.startswith("error [") and err.count("\n") == 1
         assert "delta must be positive" in err
 
+    def test_exhausted_redraws_one_line_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(measurement, "MIN_COLLAPSE_NORM", 10.0)
+        code = main(["sample", "--grid-n", "64", "--x-min", "-8", "--x-max", "8",
+                     "--shots", "100", "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [measurement]: ") and err.count("\n") == 1
+
 
 class TestCmdPointer:
     def test_vacuum_unit_coupling_passes(self, tmp_path):
@@ -290,6 +298,14 @@ class TestCmdReport:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["pass"] is True
         assert "overall: PASS" in (tmp_path / "report.txt").read_text()
+
+    def test_directory_without_reports_fails(self, tmp_path, capsys):
+        missing = tmp_path / "nothere"
+        assert main(["report", "--out", str(missing)]) == 1
+        assert json.loads((missing / "report.json").read_text())["pass"] is False
+        text = (missing / "report.txt").read_text()
+        assert str(missing) in text and text.endswith("overall: FAIL\n")
+        assert capsys.readouterr().out == text
 
 
 class TestConfigFile:
@@ -323,3 +339,26 @@ class TestConfigFile:
         assert main(["state", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error [cli]: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"grid_n": "abc"}', "field grid_n must be int"),
+        ('{"grid_n": 64.0}', "field grid_n must be int"),
+        ('{"shots": "abc"}', "field shots must be int"),
+        ('{"seed": true}', "field seed must be int"),
+        ('{"delta": "1"}', "field delta must be float"),
+        ('{"x_min": false}', "field x_min must be float"),
+        ('{"state": 3}', "field state must be str"),
+        ('{"bins": [32]}', "field bins must be two ints"),
+        ('{"bins": [32, "32"]}', "field bins must be two ints"),
+        ('{"bins": 32}', "field bins must be two ints"),
+    ])
+    def test_mistyped_field_one_line_error(self, tmp_path, capsys, text, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        assert main(["sample", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error [cli]: config file {cfg_path}: {message}\n"
+
+    def test_int_accepted_for_float_field(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"x_min": -16, "x_max": 16, "bins": [16, 16]}')
+        assert main(["state", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0

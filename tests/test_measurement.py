@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from phaselab import (
     m_density,
     make_grid,
     marginal,
+    normalize,
     povm_completeness,
     sample_joint,
     shot_noise_bound,
@@ -27,8 +27,10 @@ from phaselab import (
     superpose,
     tv_distance,
 )
+from phaselab import measurement
 from phaselab.core import Basis, ResolutionError, WaveFunction, as_momentum, to_position
 from phaselab.measurement import (
+    CHUNK,
     OutcomeIncompatibleError,
     _inverse_cdf,
     coarsen,
@@ -198,14 +200,19 @@ class TestSampler:
         b = sample_joint(vacuum, 1.0, 1000, seed=2)
         assert not np.array_equal(a.x, b.x)
 
-    def test_worker_count_independence(self, grid, vacuum):
+    def test_worker_count_independence(self, grid, vacuum, monkeypatch):
+        monkeypatch.delenv("PHASESPACE_THREADS", raising=False)
         base = sample_joint(vacuum, 1.0, 20000, seed=9)
-        os.environ["PHASESPACE_THREADS"] = "4"
-        try:
-            threaded = sample_joint(vacuum, 1.0, 20000, seed=9)
-        finally:
-            del os.environ["PHASESPACE_THREADS"]
+        monkeypatch.setenv("PHASESPACE_THREADS", "4")
+        threaded = sample_joint(vacuum, 1.0, 20000, seed=9)
         assert np.array_equal(base.x, threaded.x) and np.array_equal(base.p, threaded.p)
+
+    def test_exhausted_redraws_raise(self, monkeypatch):
+        # every outcome's collapse norm is below an impossible threshold
+        g = make_grid(64, -8, 8)
+        monkeypatch.setattr(measurement, "MIN_COLLAPSE_NORM", 10.0)
+        with pytest.raises(OutcomeIncompatibleError, match="after 64 redraws"):
+            sample_joint(coherent_state(g, 0.0, 0.0, 1.0), 1.0, 100, seed=1)
 
     def test_histogram_matches_husimi(self, grid, vacuum):
         shots = 200_000
@@ -232,6 +239,90 @@ class TestSampler:
         res = sample_joint(vacuum, 1.0, 2000, seed=3)
         assert np.all(res.x >= grid.x[0] - grid.dx) and np.all(res.x <= grid.x[-1] + grid.dx)
         assert np.all(res.p >= grid.p[0] - grid.dp) and np.all(res.p <= grid.p[-1] + grid.dp)
+
+
+def _compact_state(grid, rng):
+    """Random superposition of three coherent states that decay inside [-8, 8)."""
+    amp = sum(
+        (rng.normal() + 1j * rng.normal())
+        * coherent_state(grid, rng.uniform(-1.5, 1.5), rng.uniform(-1.0, 1.0), rng.uniform(0.5, 0.6)).amp
+        for _ in range(3)
+    )
+    return normalize(WaveFunction(grid, Basis.POSITION, amp))
+
+
+class TestSampleChunk:
+    """The blocked chunk against the chunk as first written (oracles)."""
+
+    @pytest.mark.parametrize("min_norm", [None, 0.1], ids=["unpatched", "rejecting"])
+    @pytest.mark.parametrize("state", ["vacuum", "random"])
+    @pytest.mark.parametrize("delta", [0.25, 1.0, 4.0])
+    @pytest.mark.parametrize("n, half", [(64, 8.0), (256, 16.0)])
+    def test_matches_reference(self, monkeypatch, n, half, delta, state, min_norm):
+        g = make_grid(n, -half, half)
+        if state == "vacuum":
+            psi = coherent_state(g, 0.0, 0.0, 1.0)
+        else:
+            psi = _compact_state(g, np.random.default_rng([n, int(4 * delta)]))
+        if min_norm is not None:
+            monkeypatch.setattr(measurement, "MIN_COLLAPSE_NORM", min_norm)
+        threshold = measurement.MIN_COLLAPSE_NORM
+        px = m_density(psi, delta)
+        xs, ps, rejected = measurement._sample_chunk(psi, px, delta, 11, 2, CHUNK)
+        ref_x, ref_p, ref_rejected = oracles.sample_chunk_reference(
+            psi, px, delta, 11, 2, CHUNK, threshold
+        )
+        assert rejected == ref_rejected
+        assert (rejected > 0) == (min_norm is not None)
+        assert np.array_equal(xs, ref_x)
+        assert np.max(np.abs(ps - ref_p)) <= 1e-9 * g.dp
+        window = np.exp(-((g.x - xs[:, None]) ** 2) / (2.0 * delta))
+        amps = (delta * np.pi) ** -0.25 * window * psi.amp
+        assert np.all(np.sum(np.abs(amps) ** 2, axis=1) * g.dx > threshold**2)
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("threads, cpus, n_chunks, expected", [
+        (None, 64, 3, 1),
+        ("0", 64, 3, 3),
+        ("0", 2, 5, 2),
+        ("0", None, 5, 1),
+        ("8", 2, 3, 3),
+        ("2", 64, 1, 1),
+        ("many", 64, 3, 1),
+    ])
+    def test_capped_at_chunk_count(self, monkeypatch, threads, cpus, n_chunks, expected):
+        monkeypatch.setattr(measurement.os, "cpu_count", lambda: cpus)
+        if threads is None:
+            monkeypatch.delenv("PHASESPACE_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("PHASESPACE_THREADS", threads)
+        assert measurement._worker_count(n_chunks) == expected
+
+    def test_sampler_asks_for_capped_workers(self, monkeypatch, vacuum):
+        seen = []
+
+        class RecordingExecutor:
+            """Runs the chunks in this thread and records the pool size asked for."""
+
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(measurement, "ThreadPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(measurement.os, "cpu_count", lambda: 64)
+        monkeypatch.setenv("PHASESPACE_THREADS", "0")
+        res = sample_joint(vacuum, 1.0, 2 * CHUNK + 1, seed=5)
+        assert seen == [3]
+        assert res.shots == 2 * CHUNK + 1
 
 
 class TestInverseCdf:
