@@ -119,6 +119,8 @@ def _config_fields(doc) -> dict:
         kind = _FIELDS[name]
         if not _has_type(value, kind):
             raise ConfigError(f"field {name} must be {'two ints' if kind == 'tuple' else kind}")
+    if doc.get("format", "json") not in ("csv", "json"):
+        raise ConfigError("field format must be csv or json")
     if "bins" in doc:
         doc["bins"] = tuple(doc["bins"])
     return doc
@@ -193,8 +195,7 @@ def _state_metadata(psi: WaveFunction) -> dict:
 
 
 def cmd_state(cfg: RunConfig, psi: WaveFunction) -> tuple:
-    ext = "csv" if cfg.format == "csv" else "json"
-    plio.save_wavefunction(psi, Path(cfg.out) / f"state.{ext}", fmt=ext)
+    plio.save_wavefunction(psi, Path(cfg.out) / f"state.{cfg.format}", fmt=cfg.format)
     return "state.meta.json", _state_metadata(psi), True
 
 

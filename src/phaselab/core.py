@@ -266,16 +266,12 @@ def inner(psi: WaveFunction, phi: WaveFunction) -> complex:
 
 def expectation(psi: WaveFunction, obs: Observable) -> float:
     """<psi|A|psi> for the five polynomial observables, by direct quadrature."""
-    if obs is Observable.X or obs is Observable.X2:
-        q = as_position(psi)
-        axis = q.grid.x
-        power = 1 if obs is Observable.X else 2
-        return float(np.sum(axis**power * q.density()) * q.grid.dx)
-    if obs is Observable.P or obs is Observable.P2:
-        q = as_momentum(psi)
-        axis = q.grid.p
-        power = 1 if obs is Observable.P else 2
-        return float(np.sum(axis**power * q.density()) * q.grid.dp)
+    position = obs is Observable.X or obs is Observable.X2
+    if position or obs is Observable.P or obs is Observable.P2:
+        q = as_position(psi) if position else as_momentum(psi)
+        axis = q.grid.x if position else q.grid.p
+        power = 1 if obs is Observable.X or obs is Observable.P else 2
+        return float(np.sum(axis**power * q.density()) * q.spacing)
     if obs is Observable.NUMBER:
         return (expectation(psi, Observable.X2) + expectation(psi, Observable.P2) - 1.0) / 2.0
     raise ValueError(f"unsupported observable {obs}")

@@ -74,16 +74,21 @@ def _grid_chunks(x, p, values):
         yield xs + ("\n" + xs).join(cells) + "\n", tuple(row.tolist())
 
 
-def _read_csv(fh, header: str, first_line: str, path) -> np.ndarray:
-    """The float table after an already-read header line, one row per line."""
-    if first_line.rstrip("\r\n") != header:
-        raise ValueError(f"{path}: expected CSV header {header!r}, got {first_line.strip()!r}")
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # empty input: rejected below
-            table = np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2)
-    except ValueError as exc:
-        raise ValueError(f"{path}: malformed CSV: {exc}") from None
+def _read_table_or_doc(path: Path, header: str):
+    """The decoded JSON document, or for a CSV file (named ``*.csv`` or with a
+    first line starting ``x,``) the float table after this header line."""
+    with path.open() as fh:
+        first = fh.readline()
+        if path.suffix != ".csv" and not first.startswith("x,"):
+            return json.loads(first + fh.read())
+        if first.rstrip("\r\n") != header:
+            raise ValueError(f"{path}: expected CSV header {header!r}, got {first.strip()!r}")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # empty input: rejected below
+                table = np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed CSV: {exc}") from None
     width = header.count(",") + 1
     if table.shape[0] == 0 or table.shape[1] != width:
         raise ValueError(f"{path}: expected rows of {width} numbers, got shape {table.shape}")
@@ -155,11 +160,9 @@ def _state_from_table(table: np.ndarray, path) -> WaveFunction:
 
 def load_wavefunction(path) -> WaveFunction:
     path = Path(path)
-    with path.open() as fh:
-        first = fh.readline()
-        if path.suffix == ".csv" or first.startswith("x,"):
-            return _state_from_table(_read_csv(fh, "x,re,im", first, path), path)
-        header = json.loads(first + fh.read())
+    header = _read_table_or_doc(path, "x,re,im")
+    if isinstance(header, np.ndarray):
+        return _state_from_table(header, path)
     try:
         n = int(header["n"])
         grid = Grid(n=n, x_min=float(header["x_min"]), dx=float(header["dx"]))
@@ -207,11 +210,9 @@ def _distribution_from_table(table: np.ndarray, path) -> PhaseSpaceGrid:
 
 def load_distribution(path) -> PhaseSpaceGrid:
     path = Path(path)
-    with path.open() as fh:
-        first = fh.readline()
-        if path.suffix == ".csv" or first.startswith("x,"):
-            return _distribution_from_table(_read_csv(fh, "x,p,value", first, path), path)
-        doc = json.loads(first + fh.read())
+    doc = _read_table_or_doc(path, "x,p,value")
+    if isinstance(doc, np.ndarray):
+        return _distribution_from_table(doc, path)
     try:
         n = int(doc["n"])
         x = doc["x_min"] + doc["dx"] * np.arange(n)

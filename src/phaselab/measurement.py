@@ -117,16 +117,14 @@ def successive_density(psi: WaveFunction, delta: float) -> PhaseSpaceGrid:
     """Joint density |<p|M(x)|psi>|^2 of the successive measurement.
 
     Computed through the measurement-operator route, one outcome x per lattice
-    row; identical to the Husimi function with the same delta.
+    row, all rows in one transform; identical to the Husimi function with the
+    same delta.
     """
     pos = as_position(psi)
     g = pos.grid
     check_resolved(g, delta)
-    values = np.empty((g.n, g.n))
-    for k in range(g.n):
-        amp = _m_diag(g, float(g.x[k]), delta) * pos.amp
-        phi = fourier_sum(amp, g.x, g.p, g.dx / math.sqrt(TWO_PI), sign=-1)
-        values[k] = np.abs(phi) ** 2
+    amps = _m_diag(g, g.x[:, None], delta) * pos.amp
+    values = np.abs(fourier_sum(amps, g.x, g.p, g.dx / math.sqrt(TWO_PI), sign=-1, axis=-1)) ** 2
     return PhaseSpaceGrid(
         x=g.x, p=g.p, kind=DistributionKind.HUSIMI, values=values, delta=float(delta)
     )

@@ -13,6 +13,7 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     TWO_PI,
@@ -121,29 +122,30 @@ def wigner(psi: WaveFunction) -> PhaseSpaceGrid:
     """W(x, p) = (1/2pi) Int dy exp(i*p*y) psi(x - y/2) psi*(x + y/2).
 
     The half-point samples of psi come from band-limited interpolation onto a
-    doubled lattice, so the y quadrature runs at spacing dx and the full
-    momentum lattice is alias-free.
+    doubled lattice (the momentum amplitudes zero-padded to 2n points), so the
+    y quadrature runs at spacing dx and the full momentum lattice is
+    alias-free.  The lag y = m*dx enters only through exp(i*p*y), which has
+    period n in m on the momentum lattice, and a product of two samples
+    within the lattice needs |m| < n.  So the lags fold mod n into one n x n
+    correlation (two lags per column), and one n-point transform over
+    y = 0, dx, ..., (n-1)*dx gives every (x, p) cell.
     """
     pos = as_position(psi)
     g = pos.grid
     n, dx = g.n, g.dx
-    # band-limited interpolation onto 2n points of spacing dx/2
-    phi = as_momentum(pos).amp
+    phi = np.zeros(2 * n, dtype=np.complex128)
+    phi[n // 2 : n // 2 + n] = as_momentum(pos).amp
     xf = g.x_min + (dx / 2.0) * np.arange(2 * n)
-    psi_f = (g.dp / math.sqrt(TWO_PI)) * np.exp(1j * np.outer(xf, g.p)) @ phi
-
-    M = 4 * n
-    corr = np.zeros((n, M), dtype=np.complex128)
-    for m in range(-(2 * n - 1), 2 * n):
-        k0 = (abs(m) + 1) // 2
-        k1 = (2 * n - 1 - abs(m)) // 2
-        if k1 < k0:
-            continue
-        ks = np.arange(k0, k1 + 1)
-        corr[ks, m % M] = psi_f[2 * ks - m] * np.conj(psi_f[2 * ks + m])
-    spectrum = M * np.fft.ifft(corr, axis=1)
-    cols = (4 * (np.arange(n) - n // 2)) % M
-    w = (dx / TWO_PI) * spectrum[:, cols]
+    # psi at spacing dx/2 with n zeros on each side: half[n + 2k + m] = psi(x_k + m*dx/2)
+    half = np.zeros(4 * n, dtype=np.complex128)
+    p_pad = g.dp * np.arange(-n, n)
+    half[n : 3 * n] = fourier_sum(phi, p_pad, xf, g.dp / math.sqrt(TWO_PI), sign=+1)
+    # row k, column m + n for m in [-n, n): psi*(x_k + m*dx/2) and psi(x_k - m*dx/2)
+    ahead = sliding_window_view(np.conj(half), 2 * n)[0 : 2 * n : 2]
+    behind = sliding_window_view(half, 2 * n)[1 : 2 * n : 2, ::-1]
+    corr = behind[:, n:] * ahead[:, n:]  # column r: lag m = r
+    corr += behind[:, :n] * ahead[:, :n]  # and lag m = r - n
+    w = fourier_sum(corr, dx * np.arange(n), g.p, dx / TWO_PI, sign=+1, axis=-1)
     resid = float(np.max(np.abs(w.imag)))
     if resid > 1e-10:
         raise ArithmeticError(f"Wigner imaginary residue {resid:g} exceeds 1e-10")

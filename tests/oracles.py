@@ -190,3 +190,44 @@ def sample_chunk_reference(pos, px, delta, seed, chunk_index, count, min_norm):
     phi = fourier_sum(amps, g.x, g.p, g.dx / np.sqrt(2.0 * np.pi), sign=-1, axis=-1)
     ps = inverse_cdf_rows(np.abs(phi) ** 2, left_p, g.dp, u[:, 1])
     return xs, ps, rejected
+
+
+def wigner_reference(psi):
+    """Wigner values as first written: dense band-limited interpolation onto
+    the half-point lattice, a loop over the 4n - 1 lags into an n x 4n
+    correlation array and a 4n-point FFT of which every fourth column is kept."""
+    from phaselab.core import as_momentum, as_position
+
+    pos = as_position(psi)
+    g = pos.grid
+    n, dx = g.n, g.dx
+    phi = as_momentum(pos).amp
+    xf = g.x_min + (dx / 2.0) * np.arange(2 * n)
+    psi_f = (g.dp / np.sqrt(2.0 * np.pi)) * np.exp(1j * np.outer(xf, g.p)) @ phi
+    M = 4 * n
+    corr = np.zeros((n, M), dtype=np.complex128)
+    for m in range(-(2 * n - 1), 2 * n):
+        k0 = (abs(m) + 1) // 2
+        k1 = (2 * n - 1 - abs(m)) // 2
+        if k1 < k0:
+            continue
+        ks = np.arange(k0, k1 + 1)
+        corr[ks, m % M] = psi_f[2 * ks - m] * np.conj(psi_f[2 * ks + m])
+    spectrum = M * np.fft.ifft(corr, axis=1)
+    cols = (4 * (np.arange(n) - n // 2)) % M
+    return ((dx / (2.0 * np.pi)) * spectrum[:, cols]).real
+
+
+def successive_density_reference(psi, delta):
+    """|<p|M(x)|psi>|^2 values as first written: one ``fourier_sum`` per x row."""
+    from phaselab.core import as_position, fourier_sum
+
+    pos = as_position(psi)
+    g = pos.grid
+    values = np.empty((g.n, g.n))
+    for k in range(g.n):
+        window = np.exp(-((g.x - float(g.x[k])) ** 2) / (2.0 * delta))
+        amp = (delta * np.pi) ** -0.25 * window * pos.amp
+        phi = fourier_sum(amp, g.x, g.p, g.dx / np.sqrt(2.0 * np.pi), sign=-1)
+        values[k] = np.abs(phi) ** 2
+    return values

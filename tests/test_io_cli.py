@@ -358,6 +358,17 @@ class TestConfigFile:
         assert main(["sample", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == f"error [cli]: config file {cfg_path}: {message}\n"
 
+    @pytest.mark.parametrize("command", [["state"], ["dist", "--which", "husimi"]])
+    def test_unknown_format_one_line_error(self, tmp_path, capsys, command):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"format": "xml"}')
+        out = tmp_path / "out"
+        assert main([*command, "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error [cli]: config file {cfg_path}: field format must be csv or json\n"
+        )
+        assert not out.exists()
+
     def test_int_accepted_for_float_field(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text('{"x_min": -16, "x_max": 16, "bins": [16, 16]}')

@@ -148,6 +148,14 @@ class TestSuccessiveDensity:
             d = np.max(np.abs(successive_density(psi, delta).values - husimi(psi, delta).values))
             assert d < 1e-8
 
+    @pytest.mark.parametrize("delta", [0.25, 1.0, 4.0])
+    def test_equals_per_row_reference(self, grid, rng, delta):
+        for _ in range(3):
+            psi = random_state(grid, rng)
+            for state in (psi, as_momentum(psi)):
+                ref = oracles.successive_density_reference(state, delta)
+                assert np.array_equal(successive_density(state, delta).values, ref)
+
     def test_vacuum_small_delta_shape(self, grid, vacuum):
         q = successive_density(vacuum, 0.25)
         ref = husimi(vacuum, 0.25)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,19 +16,24 @@ from phaselab import (
     husimi_via_characteristic,
     make_grid,
     marginal,
+    normalize,
     observable_wigner,
     q_moment,
     superpose,
     trace_product,
     wigner,
 )
-from phaselab.core import ResolutionError, as_momentum
+from phaselab.core import Basis, ResolutionError, WaveFunction, as_momentum
 from phaselab.phasespace import (
     DistributionKind,
     MarginalAxis,
     invert_characteristic,
     moment_correction,
 )
+
+# Domain per lattice size for the reference comparisons: wide enough that
+# coherent components centred within |x0|, |p0| <= 2 decay at both edges.
+REFERENCE_DOMAINS = {64: 10.0, 256: 16.0, 1024: 16.0}
 
 
 def origin_index(grid):
@@ -102,6 +108,36 @@ class TestWigner:
     def test_normalization(self, grid, rng):
         psi = random_state(grid, rng)
         assert wigner(psi).normalization() == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("n", sorted(REFERENCE_DOMAINS))
+    def test_matches_lag_loop_reference(self, n, rng):
+        half_width = REFERENCE_DOMAINS[n]
+        g = make_grid(n, -half_width, half_width)
+        states = [fock_state(g, 0), fock_state(g, 1)]
+        for _ in range(3):
+            amp = sum(
+                (rng.normal() + 1j * rng.normal())
+                * coherent_state(g, rng.uniform(-2, 2), rng.uniform(-2, 2)).amp
+                for _ in range(3)
+            )
+            states.append(normalize(WaveFunction(g, Basis.POSITION, amp)))
+        for psi in states:
+            ref = oracles.wigner_reference(psi)
+            assert np.max(np.abs(wigner(psi).values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_peak_memory_order_n_squared(self):
+        # the folded correlation keeps wigner's temporaries to a few n x n
+        # arrays; with an n x 4n correlation array and a 2n x n interpolation
+        # matrix the peak at n = 1024 is about 160 MiB
+        n = 1024
+        psi = coherent_state(make_grid(n, -16.0, 16.0), 0.5, -0.5, 1.0)
+        tracemalloc.start()
+        try:
+            wigner(psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * n * n * 16  # six n x n complex128 arrays, 96 MiB
 
 
 class TestHusimi:
