@@ -146,7 +146,7 @@ def _merge_config(args) -> RunConfig:
 
 def _build_state(cfg: RunConfig) -> WaveFunction:
     spec = cfg.state.strip()
-    if Path(spec).is_file():
+    if not (spec and spec.split()[0] in _SPEC_ARITY) and Path(spec).is_file():
         return plio.load_wavefunction(spec)
     kind, params = _parse_spec(spec)
     grid = make_grid(cfg.grid_n, cfg.x_min, cfg.x_max)
@@ -284,7 +284,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--grid-n", dest="grid_n", type=int)
     sub.add_argument("--x-min", dest="x_min", type=float)
     sub.add_argument("--x-max", dest="x_max", type=float)
-    sub.add_argument("--state", help="constructor spec ('coherent x0 p0 delta', 'fock m', 'cat a delta') or a state file path")
+    sub.add_argument("--state", help="constructor spec ('coherent x0 p0 delta', 'fock m', 'cat a "
+                     "delta'; these first words always mean a spec) or else a state file path")
     sub.add_argument("--delta", type=float)
     sub.add_argument("--g", type=float)
     sub.add_argument("--delta-device", dest="delta_device", type=float)

@@ -232,6 +232,11 @@ def fourier_sum(f, src: np.ndarray, dst: np.ndarray, weight: float, sign: int, a
     return np.moveaxis(out, -1, axis)
 
 
+def split_cells(c: float) -> tuple:
+    """(m, f): c = m + f cells with m whole and 0 <= f < 1; f = 0 within 1e-9 of whole."""
+    return (round(c), 0.0) if abs(c - round(c)) <= 1e-9 else (math.floor(c), c - math.floor(c))
+
+
 def to_momentum(psi: WaveFunction) -> WaveFunction:
     """<p|psi> on the conjugate lattice; unitary together with to_position."""
     if psi.basis is not Basis.POSITION:

@@ -15,6 +15,8 @@ Layouts:
   sidecar beside the JSON file holding exactly 2n values.
 - State CSV: header ``x,re,im``, one row per lattice point, position basis only.
 - Distribution CSV: header ``x,p,value``, one row per cell, row-major in x.
+  It is lossy: without ``kind`` or ``delta`` it reloads as a ``HISTOGRAM``
+  with ``delta=None``.
 - Distribution JSON: ``{delta, dp, dx, kind, n, p_min, values, x_min}`` with
   ``values[i][j]`` at (x_i, p_j).
 - Characteristic JSON: ``{du, dv, s, u_min, v_min, values_im, values_re}``.
@@ -102,8 +104,21 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return amp
 
 
-def save_json(doc: dict, path) -> None:
-    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
+def save_json(doc: dict, path, **tables: np.ndarray) -> None:
+    """``doc`` and the 2-D arrays passed by keyword as one JSON object with sorted
+    keys, the bytes of ``json.dumps``; an array is written a row at a time."""
+    with open(path, "w") as fh:
+        fh.write("{")
+        for i, key in enumerate(sorted({**doc, **tables})):
+            fh.write((", " if i else "") + json.dumps(key) + ": ")
+            if key not in tables:
+                fh.write(json.dumps(doc[key], sort_keys=True))
+                continue
+            fh.write("[")
+            fh.writelines((", " if j else "") + json.dumps(row.tolist())
+                          for j, row in enumerate(tables[key]))
+            fh.write("]")
+        fh.write("}\n")
 
 
 def load_json(path) -> dict:
@@ -193,8 +208,7 @@ def save_distribution(dist: PhaseSpaceGrid, path, fmt: str = "csv") -> None:
         "delta": dist.delta,
         "p_min": float(dist.p[0]),
         "dp": dist.dp,
-        "values": dist.values.tolist(),
-    }, path)
+    }, path, values=dist.values)
 
 
 def _distribution_from_table(table: np.ndarray, path) -> PhaseSpaceGrid:
@@ -236,9 +250,7 @@ def save_characteristic(cg: CharacteristicGrid, path) -> None:
         "du": float(cg.u[1] - cg.u[0]),
         "v_min": float(cg.v[0]),
         "dv": float(cg.v[1] - cg.v[0]),
-        "values_re": cg.values.real.tolist(),
-        "values_im": cg.values.imag.tolist(),
-    }, path)
+    }, path, values_re=cg.values.real, values_im=cg.values.imag)
 
 
 def save_records(x: np.ndarray, p: np.ndarray, path) -> None:

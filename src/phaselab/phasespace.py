@@ -17,6 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     TWO_PI,
+    Basis,
     Grid,
     Observable,
     WaveFunction,
@@ -25,6 +26,8 @@ from .core import (
     check_resolved,
     fourier_sum,
     gaussian_window,
+    split_cells,
+    to_position,
 )
 
 
@@ -90,32 +93,36 @@ class CharacteristicGrid:
             raise ValueError("values shape does not match (u, v) lattices")
 
 
-def _shifted_family(psi: WaveFunction, v: np.ndarray) -> np.ndarray:
-    """Rows psi(x - v_m), computed by a momentum-space phase (band-limited shift)."""
-    g = psi.grid
-    phi = as_momentum(psi).amp
-    phases = np.exp(-1j * np.outer(v, g.p))
-    return fourier_sum(phi * phases, g.p, g.x, g.dp / math.sqrt(TWO_PI), sign=+1, axis=-1)
-
-
 def characteristic(psi: WaveFunction, s: float) -> CharacteristicGrid:
     """w(u, v, s) = <psi| exp(-i*u*x_op - i*v*p_op) |psi> * exp(s*(u^2+v^2)/4).
 
     The displacement is evaluated through the symmetric operator splitting
     exp(-i*u*x_op) exp(-i*v*p_op) exp(i*u*v/2); the u lattice coincides with
-    the momentum lattice and the v lattice with the position lattice.
+    the momentum lattice and the v lattice with the position lattice.  Row m
+    of the integrand, psi(x - v_m), is psi translated by x_min/dx + m cells: a
+    band-limited shift by the fractional part (if any), then whole-cell rolls,
+    read from a sliding window over three copies of psi.  As dx*dp = 2*pi/n,
+    u_j*v_m/2 = u_j*x_min/2 + pi*(j - n/2)*m/n, so the chirp exp(i*u*v/2) is a
+    phase in u times a 2n-th root of unity from a table, with no n x n exp.
     """
     if not (-1.0 <= s <= 1.0):
         raise ValueError(f"s must lie in [-1, 1], got {s}")
-    g = psi.grid
-    u, v = g.p, g.x
     pos = as_position(psi)
-    shifted = _shifted_family(pos, v)  # (n_v, n_x)
-    integrand = np.conj(pos.amp)[None, :] * shifted
-    overlap = fourier_sum(integrand, g.x, u, g.dx, sign=-1, axis=-1)  # (n_v, n_u)
-    values = overlap.T * np.exp(0.5j * np.outer(u, v))
-    values = values * np.exp(0.25 * s * (u[:, None] ** 2 + v[None, :] ** 2))
-    return CharacteristicGrid(u=u, v=v, s=float(s), values=values)
+    g = pos.grid
+    m0, frac = split_cells(g.x_min / g.dx)
+    amp = pos.amp
+    if frac:
+        phi = as_momentum(pos).amp * np.exp(-1j * frac * g.dx * g.p)
+        amp = to_position(WaveFunction(g, Basis.MOMENTUM, phi)).amp
+    o = (-m0) % g.n  # row m is window o + n - m: amp rolled by m0 + m cells
+    shifted = sliding_window_view(np.tile(amp, 3), g.n)[o + g.n : o : -1]
+    overlap = fourier_sum(np.conj(pos.amp) * shifted, g.x, g.p, g.dx, sign=-1, axis=-1)  # (v, u)
+    roots = np.exp((1j * math.pi / g.n) * np.arange(2 * g.n))
+    overlap *= roots[np.multiply.outer(np.arange(g.n), np.arange(g.n) - g.n // 2) % (2 * g.n)]
+    overlap *= np.exp(0.5j * g.x_min * g.p)
+    overlap *= np.exp(0.25 * s * g.x**2)[:, None]  # the s-Gaussian, v then u
+    overlap *= np.exp(0.25 * s * g.p**2)
+    return CharacteristicGrid(u=g.p, v=g.x, s=float(s), values=overlap.T)
 
 
 def wigner(psi: WaveFunction) -> PhaseSpaceGrid:

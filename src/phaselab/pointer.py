@@ -22,6 +22,7 @@ from .core import (
     as_position,
     fourier_sum,
     gaussian_window,
+    split_cells,
 )
 from .measurement import successive_density
 from .phasespace import DistributionKind, PhaseSpaceGrid
@@ -97,15 +98,25 @@ def make_composite(device_grid: Grid, delta: float, psi: WaveFunction) -> Compos
 def apply_interaction(comp: CompositeWaveFunction, g: float) -> CompositeWaveFunction:
     """Impulsive coupling exp(-i*g*x_sys*p_dev): shifts the device by g*x_sys.
 
-    Applied exactly on the lattice by a momentum-space phase on the device
-    axis, one phase column per system lattice point.
+    Column k moves by c + r*k device cells, c = g*x_min/dx_dev, r = g*dx/dx_dev.
+    Where c and r are whole numbers, r >= 1 (within 1e-9; ``device_grid_for``
+    gives r = 1), that is a circular roll of each column: exact, as the phase
+    exp(-i*m*dx_dev*p) of a whole m-cell shift is that roll.  Else each column
+    gets its own momentum-space phase.
     """
     gd, gs = comp.device_grid, comp.system_grid
     if g == 0.0:
         return comp
-    phi = fourier_sum(comp.amp, gd.x, gd.p, gd.dx / math.sqrt(TWO_PI), sign=-1, axis=0)
-    phi = phi * np.exp(-1j * g * np.outer(gd.p, gs.x))
-    amp = fourier_sum(phi, gd.p, gd.x, gd.dp / math.sqrt(TWO_PI), sign=+1, axis=0)
+    r, r_frac = split_cells(g * gs.dx / gd.dx)
+    m0, frac = split_cells(g * gs.x_min / gd.dx)
+    if r >= 1 and r_frac == 0.0 and frac == 0.0:
+        # (i, k) <- row (i - m0 - r*k) mod n_d of column k, a flat index mod the size
+        amp = np.take(comp.amp.reshape(-1), mode="wrap", indices=np.add.outer(
+            (np.arange(gd.n) - m0) * gs.n, (1 - r * gs.n) * np.arange(gs.n)))
+    else:
+        phi = fourier_sum(comp.amp, gd.x, gd.p, gd.dx / math.sqrt(TWO_PI), sign=-1, axis=0)
+        phi = phi * np.exp(-1j * g * np.outer(gd.p, gs.x))
+        amp = fourier_sum(phi, gd.p, gd.x, gd.dp / math.sqrt(TWO_PI), sign=+1, axis=0)
     out = CompositeWaveFunction(gd, gs, amp, comp.delta_device)
     edge = max(float(np.max(np.abs(amp[0]))), float(np.max(np.abs(amp[-1]))))
     if edge > 1e-10 * float(np.max(np.abs(amp))):
@@ -143,16 +154,17 @@ def weak_rescale(joint: PhaseSpaceGrid, g: float) -> PhaseSpaceGrid:
 
 def pointer_vs_direct(psi: WaveFunction, spec: CouplingSpec) -> float:
     """L-inf deviation between the rescaled pointer-model joint density and the
-    direct successive-measurement density with delta = delta_device/g^2."""
+    direct successive-measurement density with delta = delta_device/g^2, read
+    out on the n device rows whose rescaled positions are the system lattice."""
     pos = as_position(psi)
     sg = pos.grid
     dg = device_grid_for(sg, spec)
-    comp = make_composite(dg, spec.delta_device, pos)
-    comp = apply_interaction(comp, spec.g)
+    comp = apply_interaction(make_composite(dg, spec.delta_device, pos), spec.g)
+    margin = round((sg.x[0] - dg.x[0] / spec.g) / sg.dx)
+    rows = Grid(n=sg.n, x_min=float(dg.x[margin]), dx=dg.dx)
+    comp = CompositeWaveFunction(rows, sg, comp.amp[margin : margin + sg.n], spec.delta_device)
     joint = weak_rescale(readout_joint(comp), spec.g)
-    direct = successive_density(pos, spec.delta_device / spec.g**2)
-    margin = round((sg.x[0] - joint.x[0]) / sg.dx)
-    block = joint.values[margin : margin + sg.n, :]
-    if not np.allclose(joint.x[margin : margin + sg.n], sg.x, atol=1e-9):
+    if not np.allclose(joint.x, sg.x, atol=1e-9):
         raise AssertionError("rescaled device lattice does not contain the system lattice")
-    return float(np.max(np.abs(block - direct.values)))
+    direct = successive_density(pos, spec.delta_device / spec.g**2)
+    return float(np.max(np.abs(joint.values - direct.values)))

@@ -231,3 +231,30 @@ def successive_density_reference(psi, delta):
         phi = fourier_sum(amp, g.x, g.p, g.dx / np.sqrt(2.0 * np.pi), sign=-1)
         values[k] = np.abs(phi) ** 2
     return values
+
+
+def apply_interaction_reference(comp, g):
+    """Coupled composite amplitudes as first written: one momentum-space phase
+    column per system lattice point, exp(-i*g*outer(p_dev, x_sys))."""
+    from phaselab.core import fourier_sum
+
+    gd, gs = comp.device_grid, comp.system_grid
+    phi = fourier_sum(comp.amp, gd.x, gd.p, gd.dx / np.sqrt(2.0 * np.pi), sign=-1, axis=0)
+    phi = phi * np.exp(-1j * g * np.outer(gd.p, gs.x))
+    return fourier_sum(phi, gd.p, gd.x, gd.dp / np.sqrt(2.0 * np.pi), sign=+1, axis=0)
+
+
+def characteristic_reference(psi, s):
+    """w(u, v, s) values as first written: every row psi(x - v_m) by its own
+    momentum-space phase, then dense exp(outer) chirp and s-Gaussian."""
+    from phaselab.core import as_momentum, as_position, fourier_sum
+
+    pos = as_position(psi)
+    g = pos.grid
+    u, v = g.p, g.x
+    phases = np.exp(-1j * np.outer(v, g.p))
+    shifted = fourier_sum(as_momentum(pos).amp * phases, g.p, g.x, g.dp / np.sqrt(2.0 * np.pi),
+                          sign=+1, axis=-1)
+    overlap = fourier_sum(np.conj(pos.amp)[None, :] * shifted, g.x, u, g.dx, sign=-1, axis=-1)
+    values = overlap.T * np.exp(0.5j * np.outer(u, v))
+    return values * np.exp(0.25 * s * (u[:, None] ** 2 + v[None, :] ** 2))

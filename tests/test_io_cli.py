@@ -1,18 +1,20 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from phaselab import coherent_state, fock_state, husimi, make_grid, measurement, wigner
 from phaselab.cli import RunConfig, main
-from phaselab.core import Basis, as_momentum
+from phaselab.core import Basis, Grid, as_momentum
 from phaselab.io import (
     load_distribution,
     load_wavefunction,
     save_distribution,
     save_wavefunction,
 )
+from phaselab.phasespace import DistributionKind, PhaseSpaceGrid
 
 
 class TestWavefunctionIO:
@@ -144,6 +146,26 @@ class TestDistributionIO:
         assert np.allclose(back.x, dist.x, atol=1e-12)
         assert np.allclose(back.p, dist.p, atol=1e-12)
 
+    def test_csv_is_lossy_for_kind_and_delta(self, vacuum, tmp_path):
+        path = tmp_path / "q.csv"
+        save_distribution(husimi(vacuum, 0.5), path, fmt="csv")
+        back = load_distribution(path)
+        assert back.kind is DistributionKind.HISTOGRAM
+        assert back.delta is None
+
+    def test_json_peak_memory_streams_rows(self, tmp_path):
+        n = 1024
+        g = Grid(n=n, x_min=-16.0, dx=32.0 / n)
+        dist = PhaseSpaceGrid(x=g.x, p=g.p, kind=DistributionKind.WIGNER,
+                              values=np.random.default_rng(5).normal(size=(n, n)))
+        tracemalloc.start()
+        try:
+            save_distribution(dist, tmp_path / "w.json", fmt="json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
     @pytest.mark.parametrize("body", [
         "1,2\n",
         "0,0,1\n0,1\n",
@@ -198,6 +220,28 @@ class TestCmdState:
         assert main(["dist", "--state", spec, "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error [cli]: ") and err.count("\n") == 1
+
+    def test_spec_wins_over_file_of_same_name(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        save_wavefunction(coherent_state(make_grid(256, -16.0, 16.0), 3.0, 0.0, 1.0), "fock 1")
+        assert main(["state", "--state", "fock 1", "--out", "run"]) == 0
+        meta = json.loads((tmp_path / "run" / "state.meta.json").read_text())
+        assert meta["mean_x"] == pytest.approx(0.0, abs=1e-9)
+        assert meta["var_x"] == pytest.approx(1.5, abs=1e-6)
+
+    def test_malformed_spec_not_read_as_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        save_wavefunction(coherent_state(make_grid(256, -16.0, 16.0), 0.0, 0.0, 1.0), "cat")
+        assert main(["state", "--state", "cat", "--out", "run"]) == 1
+        assert capsys.readouterr().err.startswith("error [cli]: state spec 'cat'")
+
+    def test_other_value_is_a_path(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        save_wavefunction(coherent_state(make_grid(128, -8.0, 8.0), 0.25, 0.0, 1.0), "fockish 1")
+        assert main(["state", "--state", "fockish 1", "--out", "run"]) == 0
+        meta = json.loads((tmp_path / "run" / "state.meta.json").read_text())
+        assert meta["mean_x"] == pytest.approx(0.25, abs=1e-9)
+        assert json.loads((tmp_path / "run" / "state.json").read_text())["n"] == 128
 
     def test_state_file_feeds_dist(self, tmp_path):
         assert main(["state", "--state", "coherent 1 0 1", "--out", str(tmp_path)]) == 0
