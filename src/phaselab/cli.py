@@ -56,6 +56,12 @@ class ConfigError(ValueError):
 # Spec kind -> (fewest, most) numeric parameters.
 _SPEC_ARITY = {"coherent": (2, 3), "fock": (1, 1), "cat": (1, 2)}
 
+# Output formats of the data files.
+FORMATS = ("csv", "json")
+
+_STATE_HELP = ("constructor spec ('coherent x0 p0 delta', 'fock m', 'cat a delta'; these first "
+               "words always mean a spec) or else a state file path")
+
 _MODULE_ORIGIN = {
     StateSpecError: "cli",
     ConfigError: "cli",
@@ -92,6 +98,9 @@ class RunConfig:
 # Field name -> declared type name ("int", "float", "str" or "tuple").
 _FIELDS = {f.name: f.type for f in fields(RunConfig)}
 
+# Declared type name -> the type of its flag's values; a tuple flag takes two.
+_FLAG_TYPE = {"int": int, "float": float, "str": str, "tuple": int}
+
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
@@ -119,8 +128,8 @@ def _config_fields(doc) -> dict:
         kind = _FIELDS[name]
         if not _has_type(value, kind):
             raise ConfigError(f"field {name} must be {'two ints' if kind == 'tuple' else kind}")
-    if doc.get("format", "json") not in ("csv", "json"):
-        raise ConfigError("field format must be csv or json")
+    if doc.get("format", "json") not in FORMATS:
+        raise ConfigError(f"field format must be {' or '.join(FORMATS)}")
     if "bins" in doc:
         doc["bins"] = tuple(doc["bins"])
     return doc
@@ -206,7 +215,7 @@ def cmd_dist(cfg: RunConfig, psi: WaveFunction, which: str) -> tuple:
         cg = characteristic(psi, cfg.s)
         origin = cg.values[cg.u.size // 2, int(np.argmin(np.abs(cg.v)))]
         summary["origin_value"] = [float(origin.real), float(origin.imag)]
-        ok = abs(origin - 1.0) < 1e-9
+        ok = abs(origin - 1.0) < 1e-9 and bool(np.isfinite(cg.values).all())
         plio.save_characteristic(cg, out / "characteristic.json")
     else:
         if which == "wigner":
@@ -280,21 +289,13 @@ def cmd_report(cfg: RunConfig) -> tuple:
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
+    """--config, then one flag per RunConfig field: --grid-n sets grid_n."""
     sub.add_argument("--config", help="JSON config file; wins over flags on conflict")
-    sub.add_argument("--grid-n", dest="grid_n", type=int)
-    sub.add_argument("--x-min", dest="x_min", type=float)
-    sub.add_argument("--x-max", dest="x_max", type=float)
-    sub.add_argument("--state", help="constructor spec ('coherent x0 p0 delta', 'fock m', 'cat a "
-                     "delta'; these first words always mean a spec) or else a state file path")
-    sub.add_argument("--delta", type=float)
-    sub.add_argument("--g", type=float)
-    sub.add_argument("--delta-device", dest="delta_device", type=float)
-    sub.add_argument("--s", type=float)
-    sub.add_argument("--shots", type=int)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--bins", nargs=2, type=int)
-    sub.add_argument("--out")
-    sub.add_argument("--format", choices=["csv", "json"])
+    for name, kind in _FIELDS.items():
+        sub.add_argument("--" + name.replace("_", "-"), type=_FLAG_TYPE[kind],
+                         nargs=2 if kind == "tuple" else None,
+                         choices=FORMATS if name == "format" else None,
+                         help=_STATE_HELP if name == "state" else None)
 
 
 def build_parser() -> argparse.ArgumentParser:

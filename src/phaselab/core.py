@@ -19,8 +19,6 @@ import numpy as np
 # silently wrapped by the periodic transforms.
 EDGE_DECAY = 1e-12
 
-NORM_TOL = 1e-9
-
 TWO_PI = 2.0 * math.pi
 
 
@@ -43,6 +41,26 @@ class Observable(str, Enum):
     X2 = "x2"
     P2 = "p2"
     NUMBER = "number"
+
+
+# Each observable as its terms (coefficient, x power, p power).  No term mixes
+# x and p, so the operator ordering within a term does not matter.
+OBSERVABLE_TERMS = {
+    Observable.X: ((1.0, 1, 0),),
+    Observable.P: ((1.0, 0, 1),),
+    Observable.X2: ((1.0, 2, 0),),
+    Observable.P2: ((1.0, 0, 2),),
+    Observable.NUMBER: ((0.5, 2, 0), (0.5, 0, 2), (-0.5, 0, 0)),
+}
+
+
+def sum_terms(obs: Observable, term):
+    """The sum of term(coefficient, x power, p power) over the terms of obs; a
+    one-term sum is that term itself, not 0.0 plus it, so a signed zero stays."""
+    if obs not in OBSERVABLE_TERMS:
+        raise ValueError(f"unsupported observable {obs}")
+    first, *rest = (term(c, a, b) for c, a, b in OBSERVABLE_TERMS[obs])
+    return sum(rest, first)
 
 
 @dataclass(frozen=True)
@@ -270,13 +288,12 @@ def inner(psi: WaveFunction, phi: WaveFunction) -> complex:
 
 
 def expectation(psi: WaveFunction, obs: Observable) -> float:
-    """<psi|A|psi> for the five polynomial observables, by direct quadrature."""
-    position = obs is Observable.X or obs is Observable.X2
-    if position or obs is Observable.P or obs is Observable.P2:
-        q = as_position(psi) if position else as_momentum(psi)
-        axis = q.grid.x if position else q.grid.p
-        power = 1 if obs is Observable.X or obs is Observable.P else 2
-        return float(np.sum(axis**power * q.density()) * q.spacing)
-    if obs is Observable.NUMBER:
-        return (expectation(psi, Observable.X2) + expectation(psi, Observable.P2) - 1.0) / 2.0
-    raise ValueError(f"unsupported observable {obs}")
+    """<psi|A|psi> for the five polynomial observables, by direct quadrature
+    (a constant term c gives c*<psi|psi>)."""
+
+    def term(c, a, b):
+        q = as_momentum(psi) if b else as_position(psi)
+        axis = q.grid.p if b else q.grid.x
+        return c * float(np.sum(axis ** (a or b) * q.density()) * q.spacing)
+
+    return sum_terms(obs, term)

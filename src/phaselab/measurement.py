@@ -157,7 +157,10 @@ def _inverse_cdf(density: np.ndarray, left_edge: float, spacing: float, u: np.nd
 
 
 def _worker_count(n_chunks: int) -> int:
-    """PHASESPACE_THREADS workers (unset: 1, 0: one per CPU), at most one per chunk."""
+    """PHASESPACE_THREADS workers (unset: 1, 0: one per CPU), at most one per chunk.
+
+    Unset means 1: results do not depend on the count, and a call from inside a
+    caller's own pool should not start one thread per CPU unasked."""
     raw = os.environ.get("PHASESPACE_THREADS", "1")
     try:
         workers = int(raw)
@@ -249,19 +252,16 @@ def sample_joint(
     n_chunks = (shots + CHUNK - 1) // CHUNK
     sizes = [min(CHUNK, shots - c * CHUNK) for c in range(n_chunks)]
 
+    # Each chunk fills its rows here, so no chunk's arrays outlive it in a worker's heap.
+    xs, ps = np.empty(shots), np.empty(shots)
+
     def run(c):
-        return _sample_chunk(pos, px, delta, seed, c, sizes[c])
+        rows = slice(c * CHUNK, c * CHUNK + sizes[c])
+        xs[rows], ps[rows], rejected = _sample_chunk(pos, px, delta, seed, c, sizes[c])
+        return rejected
 
-    workers = _worker_count(n_chunks)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(run, range(n_chunks)))
-    else:
-        parts = [run(c) for c in range(n_chunks)]
-
-    xs = np.concatenate([p[0] for p in parts])
-    ps = np.concatenate([p[1] for p in parts])
-    rejected = sum(p[2] for p in parts)
+    with ThreadPoolExecutor(max_workers=_worker_count(n_chunks)) as ex:
+        rejected = sum(ex.map(run, range(n_chunks)))
     hist = _histogram(xs, ps, x_edges, p_edges, shots)
     return SampleResult(x=xs, p=ps, histogram=hist, rejected=rejected)
 

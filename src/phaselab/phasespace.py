@@ -17,7 +17,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     TWO_PI,
-    Basis,
     Grid,
     Observable,
     WaveFunction,
@@ -27,7 +26,7 @@ from .core import (
     fourier_sum,
     gaussian_window,
     split_cells,
-    to_position,
+    sum_terms,
 )
 
 
@@ -98,31 +97,31 @@ def characteristic(psi: WaveFunction, s: float) -> CharacteristicGrid:
 
     The displacement is evaluated through the symmetric operator splitting
     exp(-i*u*x_op) exp(-i*v*p_op) exp(i*u*v/2); the u lattice coincides with
-    the momentum lattice and the v lattice with the position lattice.  Row m
-    of the integrand, psi(x - v_m), is psi translated by x_min/dx + m cells: a
-    band-limited shift by the fractional part (if any), then whole-cell rolls,
-    read from a sliding window over three copies of psi.  As dx*dp = 2*pi/n,
-    u_j*v_m/2 = u_j*x_min/2 + pi*(j - n/2)*m/n, so the chirp exp(i*u*v/2) is a
+    the momentum lattice, and the v lattice is the position lattice moved by
+    the fractional part of x_min/dx (none when x_min/dx is whole), so that
+    every v is a whole number of cells and v = 0 is a lattice point.  Row m
+    of the integrand, psi(x - v_m), is psi rolled by v_0/dx + m cells, read
+    from a sliding window over three copies of psi.  As dx*dp = 2*pi/n,
+    u_j*v_m/2 = u_j*v_0/2 + pi*(j - n/2)*m/n, so the chirp exp(i*u*v/2) is a
     phase in u times a 2n-th root of unity from a table, with no n x n exp.
+    For s > 0 the factor exp(s*(u^2 + v^2)/4) can make the lattice corners
+    non-finite.
     """
     if not (-1.0 <= s <= 1.0):
         raise ValueError(f"s must lie in [-1, 1], got {s}")
     pos = as_position(psi)
     g = pos.grid
     m0, frac = split_cells(g.x_min / g.dx)
-    amp = pos.amp
-    if frac:
-        phi = as_momentum(pos).amp * np.exp(-1j * frac * g.dx * g.p)
-        amp = to_position(WaveFunction(g, Basis.MOMENTUM, phi)).amp
-    o = (-m0) % g.n  # row m is window o + n - m: amp rolled by m0 + m cells
-    shifted = sliding_window_view(np.tile(amp, 3), g.n)[o + g.n : o : -1]
+    v = g.x - frac * g.dx  # v_m = (m0 + m)*dx
+    o = (-m0) % g.n  # row m is window o + n - m: psi rolled by m0 + m cells
+    shifted = sliding_window_view(np.tile(pos.amp, 3), g.n)[o + g.n : o : -1]
     overlap = fourier_sum(np.conj(pos.amp) * shifted, g.x, g.p, g.dx, sign=-1, axis=-1)  # (v, u)
     roots = np.exp((1j * math.pi / g.n) * np.arange(2 * g.n))
     overlap *= roots[np.multiply.outer(np.arange(g.n), np.arange(g.n) - g.n // 2) % (2 * g.n)]
-    overlap *= np.exp(0.5j * g.x_min * g.p)
-    overlap *= np.exp(0.25 * s * g.x**2)[:, None]  # the s-Gaussian, v then u
+    overlap *= np.exp(0.5j * v[0] * g.p)
+    overlap *= np.exp(0.25 * s * v**2)[:, None]  # the s-Gaussian, v then u
     overlap *= np.exp(0.25 * s * g.p**2)
-    return CharacteristicGrid(u=g.p, v=g.x, s=float(s), values=overlap.T)
+    return CharacteristicGrid(u=g.p, v=v, s=float(s), values=overlap.T)
 
 
 def wigner(psi: WaveFunction) -> PhaseSpaceGrid:
@@ -214,19 +213,7 @@ def _polynomial(x: np.ndarray, p: np.ndarray, obs: Observable) -> np.ndarray:
     symbols of x^2 and p^2 carry no ordering constant (pinned by the
     constancy oracle in the test suite).
     """
-    X = x[:, None] + 0.0 * p[None, :]
-    P = 0.0 * x[:, None] + p[None, :]
-    if obs is Observable.X:
-        return X
-    if obs is Observable.P:
-        return P
-    if obs is Observable.X2:
-        return X**2
-    if obs is Observable.P2:
-        return P**2
-    if obs is Observable.NUMBER:
-        return (X**2 + P**2 - 1.0) / 2.0
-    raise ValueError(f"unsupported observable {obs}")
+    return sum_terms(obs, lambda c, a, b: c * x[:, None] ** a * p[None, :] ** b)
 
 
 def observable_wigner(grid: Grid, obs: Observable) -> PhaseSpaceGrid:
@@ -250,19 +237,12 @@ def trace_product(wa: PhaseSpaceGrid, wb: PhaseSpaceGrid) -> float:
 def moment_correction(obs: Observable, delta: float) -> float:
     """Anti-normal-ordering correction subtracted from the raw Husimi moment.
 
-    First moments need none; the second moments pick up the coherent-state
-    width: delta/2 in x, 1/(2*delta) in p.  Values pinned by the constancy
-    oracle in the test suite.
+    It is the noise that the soft position measurement adds: delta/2 on x^2
+    and 1/(2*delta) on p^2; first moments and constants need none.  Values
+    pinned by the constancy oracle in the test suite.
     """
-    if obs in (Observable.X, Observable.P):
-        return 0.0
-    if obs is Observable.X2:
-        return delta / 2.0
-    if obs is Observable.P2:
-        return 1.0 / (2.0 * delta)
-    if obs is Observable.NUMBER:
-        return (delta / 2.0 + 1.0 / (2.0 * delta)) / 2.0
-    raise ValueError(f"unsupported observable {obs}")
+    width = {(2, 0): delta / 2.0, (0, 2): 1.0 / (2.0 * delta)}
+    return sum_terms(obs, lambda c, a, b: c * width.get((a, b), 0.0))
 
 
 def q_moment(q: PhaseSpaceGrid, obs: Observable) -> float:

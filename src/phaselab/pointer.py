@@ -15,11 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    EDGE_DECAY,
     TWO_PI,
     EnvelopeError,
     Grid,
     WaveFunction,
     as_position,
+    check_resolved,
     fourier_sum,
     gaussian_window,
     split_cells,
@@ -79,10 +81,9 @@ def device_grid_for(system_grid: Grid, spec: CouplingSpec) -> Grid:
 
 def make_composite(device_grid: Grid, delta: float, psi: WaveFunction) -> CompositeWaveFunction:
     """Product of the normalized device Gaussian exp(-x^2/(2*delta)) with the system state."""
-    if delta <= 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    check_resolved(device_grid, delta)
     env = gaussian_window(device_grid.x, 0.0, delta)
-    if max(env[0], env[-1]) > 1e-12:
+    if max(env[0], env[-1]) > EDGE_DECAY:
         raise EnvelopeError("device Gaussian does not decay at the device grid edges")
     env = env / math.sqrt(float(np.sum(env**2)) * device_grid.dx)
     pos = as_position(psi)

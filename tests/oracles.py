@@ -244,14 +244,15 @@ def apply_interaction_reference(comp, g):
     return fourier_sum(phi, gd.p, gd.x, gd.dp / np.sqrt(2.0 * np.pi), sign=+1, axis=0)
 
 
-def characteristic_reference(psi, s):
+def characteristic_reference(psi, s, v=None):
     """w(u, v, s) values as first written: every row psi(x - v_m) by its own
-    momentum-space phase, then dense exp(outer) chirp and s-Gaussian."""
+    momentum-space phase, then dense exp(outer) chirp and s-Gaussian.  The v
+    lattice is the position lattice unless given (spacing dx)."""
     from phaselab.core import as_momentum, as_position, fourier_sum
 
     pos = as_position(psi)
     g = pos.grid
-    u, v = g.p, g.x
+    u, v = g.p, (g.x if v is None else v)
     phases = np.exp(-1j * np.outer(v, g.p))
     shifted = fourier_sum(as_momentum(pos).amp * phases, g.p, g.x, g.dp / np.sqrt(2.0 * np.pi),
                           sign=+1, axis=-1)

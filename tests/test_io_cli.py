@@ -274,6 +274,23 @@ class TestCmdDist:
         re, im = summary["origin_value"]
         assert complex(re, im) == pytest.approx(1.0, abs=1e-9)
 
+    def test_characteristic_origin_on_fractional_domain(self, tmp_path):
+        # x_min/dx is a fractional number of cells; the v lattice still holds v = 0
+        code = main(["dist", "--which", "characteristic", "--x-min", "-15", "--x-max", "17.3",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        summary = json.loads((tmp_path / "characteristic.summary.json").read_text())
+        re, im = summary["origin_value"]
+        assert complex(re, im) == pytest.approx(1.0, abs=1e-9)
+
+    def test_non_finite_characteristic_fails(self, tmp_path):
+        # s = 1 overflows exp(s*(u^2 + v^2)/4) at the corners of the n = 1024 lattice
+        code = main(["dist", "--which", "characteristic", "--s", "1", "--grid-n", "1024",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        summary = json.loads((tmp_path / "characteristic.summary.json").read_text())
+        assert summary["pass"] is False
+
     def test_under_resolved_delta_errors(self, tmp_path, capsys):
         code = main(["dist", "--which", "husimi", "--delta", "0.001", "--out", str(tmp_path)])
         assert code == 1

@@ -15,7 +15,7 @@ from phaselab import (
     superpose,
     weak_rescale,
 )
-from phaselab.core import EnvelopeError, as_momentum
+from phaselab.core import Basis, EnvelopeError, ResolutionError, WaveFunction, as_momentum
 
 
 @pytest.fixture(scope="module")
@@ -167,3 +167,11 @@ class TestPointerVsDirect:
             1.0, coherent_state(sys_grid, -2, 0, 1), 1.0, coherent_state(sys_grid, 2, 0, 1)
         )
         assert pointer_vs_direct(cat, CouplingSpec(g=0.5, delta_device=1.0)) < 1e-5
+
+    def test_under_resolved_device_lattice(self):
+        # device spacing g*dx = 0.505 > sqrt(delta_device)/2: the device Gaussian
+        # is too narrow for its lattice, however wide that lattice is
+        grid = make_grid(64, -15.0, 17.3)
+        psi = WaveFunction(grid, Basis.POSITION, np.exp(-(grid.x**2) / 2.0))
+        with pytest.raises(ResolutionError, match="under-resolved"):
+            pointer_vs_direct(psi, CouplingSpec(g=1.0, delta_device=1.0))
