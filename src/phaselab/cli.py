@@ -62,13 +62,8 @@ FORMATS = ("csv", "json")
 _STATE_HELP = ("constructor spec ('coherent x0 p0 delta', 'fock m', 'cat a delta'; these first "
                "words always mean a spec) or else a state file path")
 
-_MODULE_ORIGIN = {
-    StateSpecError: "cli",
-    ConfigError: "cli",
-    EnvelopeError: "core",
-    ResolutionError: "measurement",
-    OutcomeIncompatibleError: "measurement",
-}
+# Errors of the physics modules, tagged with the module the CLI called into.
+_MODULE_ERRORS = (EnvelopeError, ResolutionError, OutcomeIncompatibleError)
 
 
 @dataclass
@@ -311,6 +306,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _origin(exc: Exception) -> str:
+    """The tag of an error line: "cli" for the CLI's own errors; for a physics
+    error, the first phaselab module outside the CLI on its traceback (so
+    ``husimi`` tags a ``ResolutionError`` that ``core.check_resolved`` raised
+    for it as "phasespace"); "phaselab" otherwise."""
+    if isinstance(exc, (StateSpecError, ConfigError)):
+        return "cli"
+    if isinstance(exc, _MODULE_ERRORS):
+        tb = exc.__traceback__
+        while tb is not None:
+            module = tb.tb_frame.f_globals.get("__name__", "")
+            if module.startswith("phaselab.") and module != __name__:
+                return module.rpartition(".")[2]
+            tb = tb.tb_next
+    return "phaselab"
+
+
 def main(argv=None) -> int:
     """The one run path: merge the config, make the output directory, build the
     state, run ``cmd_<name>`` and write the report document it returns."""
@@ -328,8 +340,7 @@ def main(argv=None) -> int:
             name, doc, ok = command(cfg, _build_state(cfg), *extra)
         plio.save_json(doc, out / name)
     except (ValueError, ArithmeticError) as exc:
-        origin = _MODULE_ORIGIN.get(type(exc), "phaselab")
-        print(f"error [{origin}]: {exc}", file=sys.stderr)
+        print(f"error [{_origin(exc)}]: {exc}", file=sys.stderr)
         return 1
     return 0 if ok else 1
 

@@ -8,6 +8,22 @@ identical bytes, and both text encodings are lossless for float64:
 - JSON writes each float as Python's shortest round-trip ``repr`` (``0.1``,
   ``1e+16``), one document per file with sorted keys and a final newline.
 
+Every array-valued table (distribution CSV and JSON ``values``,
+characteristic ``values_re``/``values_im``, ``records.csv``, state CSV) goes
+through one vectorised encoder, ``_encode``, which gives the bytes of
+``'%.17g' %`` and of ``json.dumps`` exactly.  For each finite nonzero |v| it
+forms X = |v| * 10**(16 - E) in double-double arithmetic from the integer
+mantissa and a table of 10**q held to about 107 bits, with an error below
+2**-100 * X (under 1e-13 for X < 1e17).  The 17 digits are X rounded; repr's
+digits are the fewest k for which the k-digit rounding of X lies strictly
+within the half-gap X / (2m) of X (m the integer mantissa).  Each value is
+laid out left-aligned in a NUL-padded row of bytes, and each chunk of table
+text is compacted once.  A value goes to Python's own formatter instead when
+any of these decisions falls within 1e-9 (in units of the last digit, relative
+for the half-gap test) of its boundary, which covers exact ties; when it is
+not finite; and, for repr, when its mantissa is a power of two, whose gap below
+is half the gap above.
+
 Layouts:
 
 - State JSON: ``{basis, dx, n, x_min}`` plus either ``amp``, the interleaved
@@ -27,7 +43,9 @@ Layouts:
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -36,44 +54,307 @@ import numpy as np
 from .core import Basis, Grid, WaveFunction, check_grid_size
 from .phasespace import CharacteristicGrid, DistributionKind, PhaseSpaceGrid
 
-FMT = "%.17g"
-
-# Rows per formatted chunk of a column table: bounds the string and argument
-# tuple built at once, whatever the number of rows.
-CHUNK_ROWS = 4096
+# Table rows (CSV lines, or JSON cells) encoded and written per chunk: bounds the
+# working arrays, whatever the size of the table.
+CHUNK_ROWS = 1 << 14
 
 # Largest relative departure of a state CSV's x steps from the first step;
 # 17-digit round trips of a uniform lattice stay below ~n * 1e-16.
 _SPACING_RTOL = 1e-6
 
+# Bytes per encoded float: the longest text is '-2.2250738585072014e-308'.
+_FIELD = 24
 
-def _write_csv(path, header: str, chunks) -> None:
-    """Write the header line, then ``template % values`` for each chunk."""
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for template, values in chunks:
-            fh.write(template % values)
+# Decisions this close to their boundary (in units of the 17th digit; relative
+# to the half-gap for the round-trip test) go to Python's formatter.  The
+# scaled value carries an error below 2**-100 of itself, under 1e-13 units.
+_MARGIN = 1e-9
 
-
-def _column_chunks(row_template: str, columns):
-    """Chunks of CHUNK_ROWS rows; row i is ``row_template`` applied to the
-    i-th entry of each column (1-D arrays of equal length)."""
-    n_rows, width = columns[0].size, len(columns)
-    for start in range(0, n_rows, CHUNK_ROWS):
-        stop = min(start + CHUNK_ROWS, n_rows)
-        values = [None] * (width * (stop - start))
-        for k, column in enumerate(columns):
-            values[k::width] = column[start:stop].tolist()
-        yield row_template * (stop - start), tuple(values)
+_U64 = np.uint64
+_ALL = ~_U64(0)
+_DOTS = _U64(0x2E2E2E2E2E2E2E2E)
+_NO_POINT = 30  # point position of a text without a decimal point
+_LEADS = np.array([0x2E30, 0x302E30, 0x30302E30, 0x3030302E30], _U64)  # "0." .. "0.000"
+_POW10 = 10 ** np.arange(18, dtype=np.int64)
+_Q_MIN, _Q_MAX = 16 - 308, 16 + 324  # 10**q scales each finite nonzero float into [1e16, 1e17)
 
 
-def _grid_chunks(x, p, values):
-    """One chunk per x row of a row-major (x, p, value) table; the x and p
-    strings are formatted once and only the values per cell."""
-    cells = [FMT % pv + "," + FMT for pv in p.tolist()]
-    for xv, row in zip(x.tolist(), values):
-        xs = FMT % xv + ","
-        yield xs + ("\n" + xs).join(cells) + "\n", tuple(row.tolist())
+@functools.cache
+def _pow10_table():
+    """10**q for q in [_Q_MIN, _Q_MAX] as (hh + hl + lo) * 2**s: hh + hl is the
+    double nearest the leading 128 bits, split in 26-bit halves (Veltkamp) for
+    exact products, and lo the next 53 bits.  Built from Python ints (about 2 ms)
+    on first use, read-only."""
+    qs = range(_Q_MIN, _Q_MAX + 1)
+    hh, hl, lo = np.empty(len(qs)), np.empty(len(qs)), np.empty(len(qs))
+    s = np.empty(len(qs), np.int64)
+    for i, q in enumerate(qs):
+        if q >= 0:
+            a, b = 10**q << 128, -128
+        else:
+            b = -(128 + (10**-q).bit_length())
+            a = (1 << -b) // 10**-q
+        k = a.bit_length() - 128
+        a, b = (a + (1 << (k - 1))) >> k, b + k  # 10**q ~ a * 2**b, a of 128 bits
+        t = a.bit_length() - 53
+        h = (a + (1 << (t - 1))) >> t
+        th = h / 2.0**52
+        split = 134217729.0 * th
+        hh[i] = split - (split - th)
+        hl[i] = th - hh[i]
+        lo[i] = math.ldexp(a - (h << t), -52 - t)
+        s[i] = t + b + 52
+    for table in (hh, hl, lo, s):
+        table.flags.writeable = False
+    return hh, hl, lo, s
+
+
+def _scaled(m, f, e):
+    """X = m * 2**f * 10**(16 - e) as hi + lo, by Dekker's exact product of m
+    (split at bit 26) with the table's leading double."""
+    table_hh, table_hl, table_lo, table_exp = _pow10_table()
+    i = 16 - e - _Q_MIN
+    th, tl, lo = table_hh[i], table_hl[i], table_lo[i]
+    mh = (m >> 26 << 26).astype(np.float64)
+    ml = (m & ((1 << 26) - 1)).astype(np.float64)
+    mf = mh + ml
+    prod = mf * (th + tl)
+    err = ml * tl - (((prod - mh * th) - ml * th) - mh * tl) + mf * lo
+    hi = prod + err
+    scale = ((f + table_exp[i] + 1023) << 52).view(np.float64)  # a power of two
+    return hi * scale, (err - (hi - prod)) * scale
+
+
+def _digits17(a):
+    """For finite a > 0: (d, r, e, m, x, doubt) with e = floor(log10(a)),
+    d the 17-digit integer nearest X = a * 10**(16 - e), r = X - d, m the integer
+    mantissa, x ~ X, and doubt where the rounding fell within the margin of a tie."""
+    bits = a.view(_U64)
+    be = (bits >> _U64(52)).view(np.int64)
+    frac = (bits & _U64((1 << 52) - 1)).view(np.int64)
+    m = frac | (be > 0).astype(np.int64) << 52
+    f = np.maximum(be, 1) - 1075
+    e = np.floor(np.log10(a)).astype(np.int64)
+    hi, lo = _scaled(m, f, e)
+    for _ in range(2):  # log10 may miss by one next to a power of ten
+        up = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+        fix = np.flatnonzero(up | (hi < 1e16) | ((hi == 1e16) & (lo < 0)))
+        if fix.size == 0:
+            break
+        e[fix] += np.where(up[fix], 1, -1)
+        hi[fix], lo[fix] = _scaled(m[fix], f[fix], e[fix])
+    floor = np.floor(lo)
+    r = lo - floor
+    up = r > 0.5
+    d = hi.astype(np.int64) + floor.astype(np.int64) + up
+    return d, r - up, e, m, hi, np.abs(r - 0.5) < _MARGIN
+
+
+def _probe(d, r, h, margin, k):
+    """The k-digit candidate nearest X = d + r as a 17-digit integer, whether it
+    lies strictly within the half-gap h of X, and doubt about either."""
+    p = _POW10[17 - k]
+    q = d // p
+    s = (2 * (d - q * p) - p).astype(np.float64) + 2.0 * r  # 2 * (X mod p) - p, sign exact
+    cand = (q + (s > 0)) * p
+    dist = np.abs((cand - d).astype(np.float64) - r)
+    ok = dist < h
+    return cand, ok, (np.abs(dist - h) < margin) | (ok & (np.abs(s) < 2 * _MARGIN))
+
+
+def _shortest(d, r, m, x):
+    """repr's digits: the fewest that round-trip, nearest X of those, as a 17-digit
+    integer, and doubt.  Round-tripping is monotone in the digit count k; the k
+    with 10**(17-k) < 2h always passes, so the search runs down from it."""
+    h = x / (2.0 * m)
+    margin = _MARGIN * (1.0 + h)
+    k = 17 - np.minimum(np.floor(np.log10(2.0 * h)), 16).astype(np.int64)
+    best, ok, doubt = _probe(d, r, h, margin, k)
+    doubt |= ~ok
+    more = k > 1  # one digit fewer is tried on every row, then on those that pass
+    cand, ok, unsure = _probe(d, r, h, margin, k - more)
+    ok &= more
+    doubt |= unsure & more
+    act = np.flatnonzero(ok)
+    while act.size:
+        best[act], k[act] = cand[ok], k[act] - 1
+        act = act[k[act] > 1]
+        cand, ok, unsure = _probe(d[act], r[act], h[act], margin[act], k[act] - 1)
+        doubt[act] |= unsure
+        act = act[ok]
+    return best, doubt
+
+
+def _decimal(a, shortest: bool):
+    """(d, e, doubt) for finite a > 0: a ~ d * 10**(e - 16) with d a 17-digit
+    integer, from ``%.17g``'s digits or (shortest) repr's, and where in doubt."""
+    d, r, e, m, x, doubt = _digits17(a)
+    if shortest:
+        d, worse = _shortest(d, r, m.astype(np.float64), x)
+        # above a power of two the gap below is half the gap above
+        doubt |= worse | ((m == 1 << 52) & (a >= 2.0**-1021))
+    carry = d == 10**17
+    d[carry] = 10**16
+    return d, e + carry, doubt
+
+
+def _low(n, i):
+    """Mask of the bytes of word i (text bytes 8i..8i+7) that lie before byte n."""
+    return _ALL >> (64 - 8 * np.minimum(n - 8 * i, 8)).view(_U64)
+
+
+def _at(word, n, i):
+    """The part of ``word`` placed at text byte n that falls in word i."""
+    k = 8 * (n - 8 * i)
+    return (word << k.view(_U64)) | (word >> (-k).view(_U64))
+
+
+def _digit_columns(d, width):
+    """The decimal digits of 0 <= d < 10**17, most significant first, in
+    ``width`` uint8 columns (digits from column 0; the rest 0)."""
+    out = np.zeros((d.size, width), np.uint8)
+    high = (d // 10**8).astype(np.uint32)
+    low = (d - high.astype(np.int64) * 10**8).astype(np.uint32)
+    for x, cols in ((low, range(16, 8, -1)), (high, range(8, -1, -1))):
+        for c in cols:
+            q = x // 10
+            out[:, c] = x - q * 10
+            x = q
+    return out
+
+
+def _encode(values, shortest: bool):
+    """Text of each float as ``json.dumps`` (shortest=True: repr, NaN, Infinity)
+    or ``'%.17g' %`` writes it, left-aligned in a row of _FIELD bytes padded with
+    NUL; also the mask of values handed to Python's formatter."""
+    v = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    n = v.size
+    a = np.abs(v)
+    finite = a <= np.finfo(np.float64).max
+    num = np.flatnonzero(finite & (a != 0))
+    d = np.zeros(n, np.int64)
+    e = np.zeros(n, np.int64)
+    doubt = ~finite
+    if num.size:
+        d[num], e[num], doubt[num] = _decimal(a[num], shortest)
+    digits = _digit_columns(d, _FIELD)
+    nd = 17 - np.argmax(digits[:, 16::-1] != 0, axis=1)  # significant digits
+    nd[d == 0] = 1
+    digits[:, :17] += 48
+    sci = (e < -4) | (e >= (16 if shortest else 17))
+    whole = ~sci & (e >= 0)  # fixed notation, |v| >= 1
+    frac = ~sci & (e < 0)  # fixed notation, "0." then zeros
+    point = np.full(n, _NO_POINT)  # the point follows digit `point`
+    point[sci & (nd > 1)] = 0
+    inner = whole & (nd > e + 1)
+    point[inner] = e[inner]
+    end = np.where(whole, np.maximum(nd, e + 1), nd) + (point != _NO_POINT)
+    ae = np.abs(e).view(_U64)
+    big = ae >= 100
+    at = _U64(16) + big * _U64(8)
+    suffix = (_U64(0x65) | ((_U64(0x2B) + (e < 0) * _U64(2)) << _U64(8))  # "e+" or "e-"
+              | (((_U64(48) + ae // _U64(100)) << _U64(16)) * big)
+              | ((_U64(48) + ae // _U64(10) % _U64(10)) << at)
+              | ((_U64(48) + ae % _U64(10)) << (at + _U64(8)))) * sci
+    if shortest:
+        suffix[whole & (nd <= e + 1)] = 0x302E  # ".0"
+    neg = np.signbit(v)
+    zeros = np.clip(-e - 1, 0, 3)
+    shift = frac * (zeros + 2) + neg  # bytes before the first digit
+    head = (_LEADS[zeros] * frac << (8 * neg).view(_U64)) | neg * _U64(45)  # "-", "0.", ...
+    left, right = (8 * shift).view(_U64), (64 - 8 * shift).view(_U64)
+    # Each text is three little-endian words: the digits with '.' put after digit
+    # `point`, cut at byte `end`, the suffix at `end`, all moved `shift` bytes on
+    # behind the head.
+    words = digits.view(_U64)
+    out = np.empty((n, 3), _U64)
+    prev = _U64(0)
+    for i in range(3):
+        w = words[:, i]
+        below, upto = _low(point + 1, i), _low(point + 2, i)
+        moved = (w << _U64(8)) | (words[:, i - 1] >> _U64(56) if i else _U64(0))
+        body = ((w & below) | (moved & ~upto) | (_DOTS & upto & ~below)) & _low(end, i)
+        body |= _at(suffix, end, i)
+        out[:, i] = (body << left) | (prev >> right)
+        prev = body
+    out[:, 0] |= head
+    out = out.view(np.uint8)
+    for i in np.flatnonzero(doubt):
+        text = (json.dumps(float(v[i])) if shortest else "%.17g" % v[i]).encode()
+        out[i] = 0
+        out[i, : len(text)] = np.frombuffer(text, np.uint8)
+    return out, doubt
+
+
+def _encode_ints(values):
+    """``'%d'`` of each integer in [0, 10**17), right-aligned in 17 bytes padded
+    with NUL."""
+    digits = _digit_columns(np.asarray(values, dtype=np.int64), 17)
+    shown = np.maximum.accumulate(digits != 0, axis=1)
+    shown[:, -1] = True
+    return (digits + 48) * shown
+
+
+def _text(pieces, shape) -> bytes:
+    """The bytes of table cells of ``shape``: each piece (a bytes constant, or
+    uint8 fields broadcast against ``shape``) in order, NUL bytes dropped."""
+    widths = [len(p) if isinstance(p, bytes) else p.shape[-1] for p in pieces]
+    buf = np.empty(tuple(shape) + (sum(widths),), np.uint8)
+    at = 0
+    for piece, w in zip(pieces, widths):
+        if isinstance(piece, bytes):
+            piece = np.frombuffer(piece, np.uint8)
+        buf[..., at : at + w] = piece
+        at += w
+    return buf[buf != 0].tobytes()
+
+
+def _write_csv(path, header: str, columns) -> None:
+    """The header line, then one line per row of the columns: a ``range`` as
+    ``%d``, a float array as ``%.17g``."""
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for start in range(0, len(columns[-1]), CHUNK_ROWS):
+            pieces = []
+            for column in columns:
+                part = column[start : start + CHUNK_ROWS]
+                if isinstance(part, range):
+                    pieces += [_encode_ints(np.arange(part.start, part.stop)), b","]
+                else:
+                    pieces += [_encode(part, False)[0], b","]
+            pieces[-1] = b"\n"
+            fh.write(_text(pieces, (pieces[0].shape[0],)))
+
+
+def _write_grid_csv(path, dist: PhaseSpaceGrid) -> None:
+    """``x,p,value`` lines, row-major in x; x and p are encoded once."""
+    n_p = dist.p.size
+    rows = max(1, CHUNK_ROWS // n_p)
+    xs, ps = _encode(dist.x, False)[0], _encode(dist.p, False)[0]
+    with open(path, "wb") as fh:
+        fh.write(b"x,p,value\n")
+        for start in range(0, dist.x.size, rows):
+            values = _encode(dist.values[start : start + rows], False)[0]
+            pieces = (xs[start : start + rows, None], b",", ps, b",",
+                      values.reshape(-1, n_p, _FIELD), b"\n")
+            fh.write(_text(pieces, (values.shape[0] // n_p, n_p)))
+
+
+def _write_json_rows(fh, table: np.ndarray) -> None:
+    """The rows of a 2-D float table as ``json.dumps`` writes a list of lists,
+    without the outer brackets."""
+    n_cols = table.shape[1]
+    opening = np.zeros((n_cols, 3), np.uint8)
+    opening[:, 1:] = np.frombuffer(b", ", np.uint8)
+    opening[0] = np.frombuffer(b", [", np.uint8)
+    closing = np.zeros((n_cols, 1), np.uint8)
+    closing[-1] = ord("]")
+    rows = max(1, CHUNK_ROWS // n_cols)
+    for start in range(0, table.shape[0], rows):
+        fields = _encode(table[start : start + rows], True)[0]
+        text = _text((opening, fields.reshape(-1, n_cols, _FIELD), closing),
+                     (fields.shape[0] // n_cols, n_cols))
+        fh.write(text[2:] if start == 0 else text)  # every row opens with ", ["
 
 
 def _read_table_or_doc(path: Path, header: str):
@@ -105,20 +386,19 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 
 def save_json(doc: dict, path, **tables: np.ndarray) -> None:
-    """``doc`` and the 2-D arrays passed by keyword as one JSON object with sorted
-    keys, the bytes of ``json.dumps``; an array is written a row at a time."""
-    with open(path, "w") as fh:
-        fh.write("{")
+    """``doc`` and the 2-D float arrays passed by keyword as one JSON object with
+    sorted keys, the bytes of ``json.dumps``; an array is encoded in chunks of rows."""
+    with open(path, "wb") as fh:
+        fh.write(b"{")
         for i, key in enumerate(sorted({**doc, **tables})):
-            fh.write((", " if i else "") + json.dumps(key) + ": ")
+            fh.write(((", " if i else "") + json.dumps(key) + ": ").encode())
             if key not in tables:
-                fh.write(json.dumps(doc[key], sort_keys=True))
+                fh.write(json.dumps(doc[key], sort_keys=True).encode())
                 continue
-            fh.write("[")
-            fh.writelines((", " if j else "") + json.dumps(row.tolist())
-                          for j, row in enumerate(tables[key]))
-            fh.write("]")
-        fh.write("}\n")
+            fh.write(b"[")
+            _write_json_rows(fh, tables[key])
+            fh.write(b"]")
+        fh.write(b"}\n")
 
 
 def load_json(path) -> dict:
@@ -131,8 +411,7 @@ def save_wavefunction(psi: WaveFunction, path, fmt: str = "json", binary_sidecar
     if fmt == "csv":
         if psi.basis is not Basis.POSITION:
             raise ValueError("CSV wavefunction files carry position-basis states only")
-        columns = (g.x, psi.amp.real, psi.amp.imag)
-        _write_csv(path, "x,re,im", _column_chunks(f"{FMT},{FMT},{FMT}\n", columns))
+        _write_csv(path, "x,re,im", (g.x, psi.amp.real, psi.amp.imag))
         return
     if fmt != "json":
         raise ValueError(f"unknown wavefunction format {fmt!r}")
@@ -196,7 +475,7 @@ def load_wavefunction(path) -> WaveFunction:
 
 def save_distribution(dist: PhaseSpaceGrid, path, fmt: str = "csv") -> None:
     if fmt == "csv":
-        _write_csv(path, "x,p,value", _grid_chunks(dist.x, dist.p, dist.values))
+        _write_grid_csv(path, dist)
         return
     if fmt != "json":
         raise ValueError(f"unknown distribution format {fmt!r}")
@@ -255,8 +534,7 @@ def save_characteristic(cg: CharacteristicGrid, path) -> None:
 
 def save_records(x: np.ndarray, p: np.ndarray, path) -> None:
     """Sampled outcomes as ``records.csv``: shot index, x, p."""
-    columns = (np.arange(x.size), x, p)
-    _write_csv(path, "shot,x,p", _column_chunks(f"%d,{FMT},{FMT}\n", columns))
+    _write_csv(path, "shot,x,p", (range(x.size), x, p))
 
 
 def save_report(verdicts: dict, out) -> str:

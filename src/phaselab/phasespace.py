@@ -119,8 +119,9 @@ def characteristic(psi: WaveFunction, s: float) -> CharacteristicGrid:
     roots = np.exp((1j * math.pi / g.n) * np.arange(2 * g.n))
     overlap *= roots[np.multiply.outer(np.arange(g.n), np.arange(g.n) - g.n // 2) % (2 * g.n)]
     overlap *= np.exp(0.5j * v[0] * g.p)
-    overlap *= np.exp(0.25 * s * v**2)[:, None]  # the s-Gaussian, v then u
-    overlap *= np.exp(0.25 * s * g.p**2)
+    with np.errstate(over="ignore", invalid="ignore"):  # s > 0: the CLI fails non-finite output
+        overlap *= np.exp(0.25 * s * v**2)[:, None]  # the s-Gaussian, v then u
+        overlap *= np.exp(0.25 * s * g.p**2)
     return CharacteristicGrid(u=g.p, v=v, s=float(s), values=overlap.T)
 
 

@@ -1,20 +1,22 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from phaselab import coherent_state, fock_state, husimi, make_grid, measurement, wigner
 from phaselab.cli import RunConfig, main
-from phaselab.core import Basis, Grid, as_momentum
+from phaselab.core import Basis, Grid, WaveFunction, as_momentum
 from phaselab.io import (
     load_distribution,
     load_wavefunction,
+    save_characteristic,
     save_distribution,
     save_wavefunction,
 )
-from phaselab.phasespace import DistributionKind, PhaseSpaceGrid
+from phaselab.phasespace import CharacteristicGrid, DistributionKind, PhaseSpaceGrid
 
 
 class TestWavefunctionIO:
@@ -166,6 +168,24 @@ class TestDistributionIO:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
+    def test_csv_and_characteristic_peak_memory_is_bounded(self, tmp_path):
+        n = 1024
+        g = Grid(n=n, x_min=-16.0, dx=32.0 / n)
+        rng = np.random.default_rng(6)
+        dist = PhaseSpaceGrid(x=g.x, p=g.p, kind=DistributionKind.HUSIMI,
+                              values=rng.normal(size=(n, n)))
+        cg = CharacteristicGrid(u=g.p, v=g.x, s=-1.0,
+                                values=rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        for save in (lambda: save_distribution(dist, tmp_path / "q.csv", fmt="csv"),
+                     lambda: save_characteristic(cg, tmp_path / "c.json")):
+            tracemalloc.start()
+            try:
+                save()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2**20
+
     @pytest.mark.parametrize("body", [
         "1,2\n",
         "0,0,1\n0,1\n",
@@ -296,6 +316,14 @@ class TestCmdDist:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_positive_s_fails_without_numpy_warnings(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["dist", "--which", "characteristic", "--s", "1", "--grid-n", "512",
+                         "--x-min", "-8", "--x-max", "8", "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == ""
+
 
 class TestCmdSample:
     def test_zero_shots_skipped(self, tmp_path):
@@ -330,6 +358,25 @@ class TestCmdSample:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error [measurement]: ") and err.count("\n") == 1
+
+
+class TestErrorOrigin:
+    """An under-resolved delta is tagged with the module that checked it."""
+
+    @pytest.mark.parametrize("argv, origin", [
+        (["dist", "--which", "husimi", "--delta", "0.001"], "phasespace"),
+        (["sample", "--delta", "0.001"], "measurement"),
+        (["pointer", "--g", "1", "--delta-device", "1", "--state", "{state}"], "pointer"),
+    ], ids=["dist", "sample", "pointer"])
+    def test_resolution_error_names_the_module(self, tmp_path, capsys, argv, origin):
+        grid = make_grid(64, -15.0, 17.3)
+        state = tmp_path / "state.json"
+        amp = np.exp(-(grid.x**2) / 2.0) + 0j
+        save_wavefunction(WaveFunction(grid, Basis.POSITION, amp), state)
+        argv = [str(state) if a == "{state}" else a for a in argv]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [{origin}]: delta = ") and err.count("\n") == 1
 
 
 class TestCmdPointer:
