@@ -64,8 +64,10 @@ class TestGoldenBytes:
         plio.save_wavefunction(psi, tmp_path / "s.json")
         assert (tmp_path / "s.json").read_bytes() == oracles.state_json(psi).encode()
 
-    @pytest.mark.parametrize("shots", [0, 1, plio.CHUNK_ROWS - 1, plio.CHUNK_ROWS,
-                                       plio.CHUNK_ROWS + 1, 10_000])
+    # Shot counts around the chunk size and around 4096, plus 0, 1 and 10_000.
+    @pytest.mark.parametrize("shots", sorted({0, 1, 4095, 4096, 4097, 10_000,
+                                              plio.CHUNK_ROWS - 1, plio.CHUNK_ROWS,
+                                              plio.CHUNK_ROWS + 1}))
     def test_records_csv(self, rng, tmp_path, shots):
         x, p = _values(rng, (shots,)), _values(rng, (shots,))
         plio.save_records(x, p, tmp_path / "records.csv")
