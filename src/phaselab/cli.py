@@ -30,6 +30,7 @@ from .core import (
 )
 from .measurement import (
     OutcomeIncompatibleError,
+    check_bins,
     coarsen,
     sample_joint,
     shot_noise_bound,
@@ -235,6 +236,9 @@ def cmd_dist(cfg: RunConfig, psi: WaveFunction, which: str) -> tuple:
 
 def cmd_sample(cfg: RunConfig, psi: WaveFunction) -> tuple:
     out = Path(cfg.out)
+    if cfg.shots > 0:
+        # the bins must coarsen the Husimi reference below; known before any shot is drawn
+        check_bins(cfg.bins, (psi.grid.n, psi.grid.n))
     result = sample_joint(psi, cfg.delta, cfg.shots, cfg.seed, bins=cfg.bins)
     plio.save_records(result.x, result.p, out / "records.csv")
     plio.save_distribution(result.histogram, out / f"histogram.{cfg.format}", fmt=cfg.format)
@@ -339,8 +343,8 @@ def main(argv=None) -> int:
             extra = (args.which,) if args.command == "dist" else ()
             name, doc, ok = command(cfg, _build_state(cfg), *extra)
         plio.save_json(doc, out / name)
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error [{_origin(exc)}]: {exc}", file=sys.stderr)
+    except (ValueError, ArithmeticError, MemoryError) as exc:
+        print(f"error [{_origin(exc)}]: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0 if ok else 1
 

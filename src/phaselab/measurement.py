@@ -22,6 +22,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -237,10 +238,12 @@ def sample_joint(
     """
     if shots < 0:
         raise ValueError(f"shots must be non-negative, got {shots}")
+    if not (isinstance(seed, Integral) and 0 <= seed < 2**64):
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    nx_bins, np_bins = check_bins(bins)
     pos = as_position(psi)
     g = pos.grid
     check_resolved(g, delta)
-    nx_bins, np_bins = bins
     x_edges = np.linspace(g.x[0] - g.dx / 2.0, g.x[-1] + g.dx / 2.0, nx_bins + 1)
     p_edges = np.linspace(g.p[0] - g.dp / 2.0, g.p[-1] + g.dp / 2.0, np_bins + 1)
 
@@ -277,12 +280,20 @@ def _histogram(xs, ps, x_edges, p_edges, shots) -> PhaseSpaceGrid:
     )
 
 
+def check_bins(bins, shape=None) -> tuple:
+    """(x bins, p bins): two positive integers; with a lattice `shape`, each divides its axis."""
+    if not (len(bins) == 2 and all(isinstance(b, Integral) and b > 0 for b in bins)):
+        raise ValueError(f"bins must be two positive integers, got {tuple(bins)!r}")
+    if shape is not None and (shape[0] % bins[0] or shape[1] % bins[1]):
+        raise ValueError(f"bin counts {bins[0]} x {bins[1]} must divide the lattice size "
+                         f"{shape[0]} x {shape[1]}")
+    return tuple(bins)
+
+
 def coarsen(dist: PhaseSpaceGrid, bins=(32, 32)) -> np.ndarray:
     """Bin masses of a lattice distribution on a uniform bin layout over its bounding box."""
-    nx_bins, np_bins = bins
+    nx_bins, np_bins = check_bins(bins, dist.values.shape)
     nx, npts = dist.values.shape
-    if nx % nx_bins or npts % np_bins:
-        raise ValueError("bin counts must divide the lattice size")
     mass = dist.values * dist.weight
     return mass.reshape(nx_bins, nx // nx_bins, np_bins, npts // np_bins).sum(axis=(1, 3))
 

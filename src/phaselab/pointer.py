@@ -29,6 +29,9 @@ from .core import (
 from .measurement import successive_density
 from .phasespace import DistributionKind, PhaseSpaceGrid
 
+# Most device x system cells of a default device lattice: 1 GiB per complex array.
+MAX_DEVICE_CELLS = 2**26
+
 
 @dataclass(frozen=True)
 class CouplingSpec:
@@ -67,16 +70,14 @@ class CompositeWaveFunction:
 
 
 def device_grid_for(system_grid: Grid, spec: CouplingSpec) -> Grid:
-    """Default device grid: spacing g*dx so the rescaled readout lattice
-    contains the system lattice exactly, widened to hold the shifted envelope."""
-    g = spec.g
-    dx_d = g * system_grid.dx
-    sigma = math.sqrt(spec.delta_device / 2.0)
-    half_width = g * (system_grid.x_max - system_grid.x_min) / 2.0 + 8.0 * sigma + 8.0 * g
-    n_d = max(system_grid.n, 1 << math.ceil(math.log2(2.0 * half_width / dx_d)))
-    margin = (n_d - system_grid.n) // 2
-    x_min_d = g * (system_grid.x_min - margin * system_grid.dx)
-    return Grid(n=n_d, x_min=x_min_d, dx=dx_d)
+    """Default device grid: the system lattice scaled by g, so the rescaled readout
+    holds it exactly, plus the cells over which the device Gaussian falls to EDGE_DECAY."""
+    dx_d = spec.g * system_grid.dx
+    margin = math.ceil(math.sqrt(2.0 * spec.delta_device * math.log(1.0 / EDGE_DECAY)) / dx_d)
+    n_d = system_grid.n + 2 * margin
+    if n_d * system_grid.n > MAX_DEVICE_CELLS:
+        raise ValueError(f"device lattice {n_d} x {system_grid.n} exceeds {MAX_DEVICE_CELLS} cells")
+    return Grid(n=n_d, x_min=spec.g * (system_grid.x_min - margin * system_grid.dx), dx=dx_d)
 
 
 def make_composite(device_grid: Grid, delta: float, psi: WaveFunction) -> CompositeWaveFunction:
@@ -161,7 +162,7 @@ def pointer_vs_direct(psi: WaveFunction, spec: CouplingSpec) -> float:
     sg = pos.grid
     dg = device_grid_for(sg, spec)
     comp = apply_interaction(make_composite(dg, spec.delta_device, pos), spec.g)
-    margin = round((sg.x[0] - dg.x[0] / spec.g) / sg.dx)
+    margin = (dg.n - sg.n) // 2
     rows = Grid(n=sg.n, x_min=float(dg.x[margin]), dx=dg.dx)
     comp = CompositeWaveFunction(rows, sg, comp.amp[margin : margin + sg.n], spec.delta_device)
     joint = weak_rescale(readout_joint(comp), spec.g)

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from phaselab import coherent_state, fock_state, husimi, make_grid, measurement, wigner
+from phaselab import cli, coherent_state, fock_state, husimi, make_grid, measurement, wigner
 from phaselab.cli import RunConfig, main
 from phaselab.core import Basis, Grid, WaveFunction, as_momentum
 from phaselab.io import (
@@ -396,6 +396,41 @@ class TestCmdPointer:
         code = main(["pointer", "--state", "fock 25", "--out", str(tmp_path)])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_weak_wide_device_gaussian_passes(self, tmp_path):
+        code = main(["pointer", "--g", "0.05", "--delta-device", "4", "--out", str(tmp_path)])
+        assert code == 0
+        assert json.loads((tmp_path / "pointer.report.json").read_text())["status"] == "PASS"
+
+
+class TestBadInput:
+    """Bad input ends in one error line and exit 1, before any artifact is written."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--bins", "0", "0"],
+        ["sample", "--bins", "-2", "2"],
+        ["sample", "--shots", "10", "--bins", "3", "3"],
+        ["sample", "--seed", "-1"],
+        ["pointer", "--g", "1e-9"],
+    ], ids=["zero-bins", "negative-bins", "non-dividing-bins", "negative-seed", "tiny-g"])
+    def test_one_line_error_and_no_artifacts(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 1.00 TiB")],
+                             ids=["bare", "numpy-message"])
+    def test_memory_error_is_one_line(self, tmp_path, capsys, monkeypatch, exc):
+        def exhausted(*args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_pointer", exhausted)
+        assert main(["pointer", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error [phaselab]: {str(exc) or 'MemoryError'}\n"
 
 
 class TestCmdReport:

@@ -198,6 +198,25 @@ class TestSampler:
         with pytest.raises(ValueError):
             sample_joint(vacuum, 1.0, -1, seed=1)
 
+    @pytest.mark.parametrize("bins", [(0, 0), (-2, 2), (32,), (32, 32, 32), (32.0, 32)])
+    def test_bins_must_be_two_positive_integers(self, vacuum, bins):
+        with pytest.raises(ValueError, match="^bins must be two positive integers"):
+            sample_joint(vacuum, 1.0, 0, seed=1, bins=bins)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+    def test_seed_must_fit_64_bits(self, vacuum, seed):
+        with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*64\)"):
+            sample_joint(vacuum, 1.0, 10, seed=seed)
+
+    def test_largest_seed_accepted(self, vacuum):
+        assert sample_joint(vacuum, 1.0, 10, seed=2**64 - 1).shots == 10
+
+    def test_coarsening_checks_bins_before_dividing(self, vacuum):
+        with pytest.raises(ValueError, match="^bins must be two positive integers"):
+            coarsen(husimi(vacuum, 1.0), (0, 32))
+        with pytest.raises(ValueError, match="^bin counts 3 x 32 must divide"):
+            coarsen(husimi(vacuum, 1.0), (3, 32))
+
     def test_determinism(self, grid, vacuum):
         a = sample_joint(vacuum, 1.0, 5000, seed=42)
         b = sample_joint(vacuum, 1.0, 5000, seed=42)

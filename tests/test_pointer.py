@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,20 @@ from phaselab import (
     superpose,
     weak_rescale,
 )
-from phaselab.core import Basis, EnvelopeError, ResolutionError, WaveFunction, as_momentum
+from phaselab.core import (
+    EDGE_DECAY,
+    Basis,
+    EnvelopeError,
+    ResolutionError,
+    WaveFunction,
+    as_momentum,
+    gaussian_window,
+)
+from phaselab.pointer import MAX_DEVICE_CELLS
+
+# The weak-coupling sweep: every g with every delta_device, on the vacuum.
+WEAK_G = [0.2, 0.15, 0.1, 0.08, 0.05, 0.03, 0.02]
+WEAK_DELTAS = [0.5, 1.0, 2.0, 4.0]
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +43,35 @@ def sys_grid():
 def dev_grid():
     # fixed device grid wide enough for unit coupling with the default system
     return make_grid(512, -32.0, 32.0)
+
+
+class TestDeviceGridFor:
+    @pytest.mark.parametrize("domain", [(-16.0, 16.0), (-15.0, 17.3)])
+    @pytest.mark.parametrize("delta", [0.5, 1.0, 4.0])
+    @pytest.mark.parametrize("g", [1.0, 0.5, 0.3, 0.1, 0.05])
+    def test_margin_reaches_edge_decay(self, g, delta, domain):
+        sg = make_grid(256, *domain)
+        dg = device_grid_for(sg, CouplingSpec(g=g, delta_device=delta))
+        margin = math.ceil(math.sqrt(2.0 * delta * math.log(1.0 / EDGE_DECAY)) / (g * sg.dx))
+        assert dg.n == sg.n + 2 * margin
+        assert dg.dx == pytest.approx(g * sg.dx, rel=1e-15)
+        # the rows after the margin, rescaled by 1/g, are the system lattice
+        assert np.allclose(dg.x[margin : margin + sg.n] / g, sg.x, rtol=0.0, atol=1e-9)
+        assert np.all(gaussian_window(dg.x[[0, -1]], 0.0, delta) <= EDGE_DECAY)
+
+    def test_too_weak_coupling_stops_before_allocating(self, sys_grid):
+        spec = CouplingSpec(g=1e-9)
+        with pytest.raises(ValueError, match=f"exceeds {MAX_DEVICE_CELLS}"):
+            device_grid_for(sys_grid, spec)
+        vac = coherent_state(sys_grid, 0, 0, 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="device lattice"):
+                pointer_vs_direct(vac, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestMakeComposite:
@@ -167,6 +212,15 @@ class TestPointerVsDirect:
             1.0, coherent_state(sys_grid, -2, 0, 1), 1.0, coherent_state(sys_grid, 2, 0, 1)
         )
         assert pointer_vs_direct(cat, CouplingSpec(g=0.5, delta_device=1.0)) < 1e-5
+
+    # n = 1024 stops at g = 0.08: weaker couplings need 121-759 MiB per complex
+    # device array there, and the peak holds about 2.5 of them.
+    @pytest.mark.parametrize("delta", WEAK_DELTAS)
+    @pytest.mark.parametrize("n, g", [(256, g) for g in WEAK_G]
+                             + [(1024, g) for g in WEAK_G if g >= 0.08])
+    def test_weak_coupling_sweep(self, n, g, delta):
+        vac = coherent_state(make_grid(n, -16.0, 16.0), 0, 0, 1)
+        assert pointer_vs_direct(vac, CouplingSpec(g=g, delta_device=delta)) < 1e-12
 
     def test_under_resolved_device_lattice(self):
         # device spacing g*dx = 0.505 > sqrt(delta_device)/2: the device Gaussian

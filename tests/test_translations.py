@@ -84,7 +84,7 @@ def test_pointer_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 192 * 2**20  # the device lattice holds 4096 x 1024 complex128, 64 MiB
+    assert peak < 128 * 2**20  # the device lattice holds 1976 x 1024 complex128, 31 MiB
 
 
 def test_coupling_never_uses_the_direct_route(grid, monkeypatch, rng):
