@@ -71,13 +71,16 @@ class CompositeWaveFunction:
 
 def device_grid_for(system_grid: Grid, spec: CouplingSpec) -> Grid:
     """Default device grid: the system lattice scaled by g, so the rescaled readout
-    holds it exactly, plus the cells over which the device Gaussian falls to EDGE_DECAY."""
+    holds it exactly, widened on each side until the device Gaussian, centred on 0
+    before the coupling and on g*x after it, has fallen to EDGE_DECAY."""
     dx_d = spec.g * system_grid.dx
-    margin = math.ceil(math.sqrt(2.0 * spec.delta_device * math.log(1.0 / EDGE_DECAY)) / dx_d)
-    n_d = system_grid.n + 2 * margin
+    reach = math.sqrt(2.0 * spec.delta_device * math.log(1.0 / EDGE_DECAY))
+    left = math.ceil((reach + max(0.0, spec.g * system_grid.x_min)) / dx_d)
+    right = math.ceil((reach + max(0.0, -spec.g * system_grid.x[-1])) / dx_d)
+    n_d = left + system_grid.n + right
     if n_d * system_grid.n > MAX_DEVICE_CELLS:
         raise ValueError(f"device lattice {n_d} x {system_grid.n} exceeds {MAX_DEVICE_CELLS} cells")
-    return Grid(n=n_d, x_min=spec.g * (system_grid.x_min - margin * system_grid.dx), dx=dx_d)
+    return Grid(n=n_d, x_min=spec.g * (system_grid.x_min - left * system_grid.dx), dx=dx_d)
 
 
 def make_composite(device_grid: Grid, delta: float, psi: WaveFunction) -> CompositeWaveFunction:
@@ -162,9 +165,9 @@ def pointer_vs_direct(psi: WaveFunction, spec: CouplingSpec) -> float:
     sg = pos.grid
     dg = device_grid_for(sg, spec)
     comp = apply_interaction(make_composite(dg, spec.delta_device, pos), spec.g)
-    margin = (dg.n - sg.n) // 2
-    rows = Grid(n=sg.n, x_min=float(dg.x[margin]), dx=dg.dx)
-    comp = CompositeWaveFunction(rows, sg, comp.amp[margin : margin + sg.n], spec.delta_device)
+    left = round((spec.g * sg.x_min - dg.x_min) / dg.dx)
+    rows = Grid(n=sg.n, x_min=float(dg.x[left]), dx=dg.dx)
+    comp = CompositeWaveFunction(rows, sg, comp.amp[left : left + sg.n], spec.delta_device)
     joint = weak_rescale(readout_joint(comp), spec.g)
     if not np.allclose(joint.x, sg.x, atol=1e-9):
         raise AssertionError("rescaled device lattice does not contain the system lattice")

@@ -22,17 +22,13 @@ from phaselab.core import (
     EDGE_DECAY,
     Basis,
     EnvelopeError,
+    Grid,
     ResolutionError,
     WaveFunction,
     as_momentum,
     gaussian_window,
 )
 from phaselab.pointer import MAX_DEVICE_CELLS
-
-# The weak-coupling sweep: every g with every delta_device, on the vacuum.
-WEAK_G = [0.2, 0.15, 0.1, 0.08, 0.05, 0.03, 0.02]
-WEAK_DELTAS = [0.5, 1.0, 2.0, 4.0]
-
 
 @pytest.fixture(scope="module")
 def sys_grid():
@@ -45,19 +41,37 @@ def dev_grid():
     return make_grid(512, -32.0, 32.0)
 
 
+# System lattices of 256 points: two domains around the origin, two beside it.
+SYSTEM_GRIDS = {
+    "whole": make_grid(256, -16.0, 16.0),
+    "fractional": make_grid(256, -15.0, 17.3),
+    "right-of-origin": Grid(n=256, x_min=4.0, dx=0.125),
+    "left-of-origin": Grid(n=256, x_min=-36.0, dx=0.125),
+}
+
+
 class TestDeviceGridFor:
-    @pytest.mark.parametrize("domain", [(-16.0, 16.0), (-15.0, 17.3)])
+    @pytest.mark.parametrize("name", SYSTEM_GRIDS)
     @pytest.mark.parametrize("delta", [0.5, 1.0, 4.0])
     @pytest.mark.parametrize("g", [1.0, 0.5, 0.3, 0.1, 0.05])
-    def test_margin_reaches_edge_decay(self, g, delta, domain):
-        sg = make_grid(256, *domain)
+    def test_margin_reaches_edge_decay(self, g, delta, name):
+        sg = SYSTEM_GRIDS[name]
         dg = device_grid_for(sg, CouplingSpec(g=g, delta_device=delta))
-        margin = math.ceil(math.sqrt(2.0 * delta * math.log(1.0 / EDGE_DECAY)) / (g * sg.dx))
-        assert dg.n == sg.n + 2 * margin
         assert dg.dx == pytest.approx(g * sg.dx, rel=1e-15)
-        # the rows after the margin, rescaled by 1/g, are the system lattice
-        assert np.allclose(dg.x[margin : margin + sg.n] / g, sg.x, rtol=0.0, atol=1e-9)
-        assert np.all(gaussian_window(dg.x[[0, -1]], 0.0, delta) <= EDGE_DECAY)
+        # whole cells to the left of the system lattice scaled by g; the rows
+        # after them, rescaled by 1/g, are the system lattice
+        left = (g * sg.x_min - dg.x_min) / dg.dx
+        assert left == pytest.approx(round(left), abs=1e-9)
+        left = round(left)
+        assert np.allclose(dg.x[left : left + sg.n] / g, sg.x, rtol=0.0, atol=1e-9)
+        # the device Gaussian, centred on 0 before the coupling and on g*x after
+        # it, has fallen to EDGE_DECAY at both edges but not one cell inside them
+        centers = np.array([0.0, g * sg.x[0], g * sg.x[-1]])[:, None]
+        assert np.all(gaussian_window(centers, dg.x[[0, -1]], delta) <= EDGE_DECAY)
+        assert np.all(gaussian_window(centers, dg.x[[1, -2]], delta).max(axis=0) > EDGE_DECAY)
+        if sg.x_min < 0.0 < sg.x_max:
+            margin = math.ceil(math.sqrt(2.0 * delta * math.log(1.0 / EDGE_DECAY)) / (g * sg.dx))
+            assert (left, dg.n) == (margin, sg.n + 2 * margin)
 
     def test_too_weak_coupling_stops_before_allocating(self, sys_grid):
         spec = CouplingSpec(g=1e-9)
@@ -213,14 +227,27 @@ class TestPointerVsDirect:
         )
         assert pointer_vs_direct(cat, CouplingSpec(g=0.5, delta_device=1.0)) < 1e-5
 
-    # n = 1024 stops at g = 0.08: weaker couplings need 121-759 MiB per complex
-    # device array there, and the peak holds about 2.5 of them.
-    @pytest.mark.parametrize("delta", WEAK_DELTAS)
-    @pytest.mark.parametrize("n, g", [(256, g) for g in WEAK_G]
-                             + [(1024, g) for g in WEAK_G if g >= 0.08])
-    def test_weak_coupling_sweep(self, n, g, delta):
+    # The (n, g, delta_device) runs of the weak-coupling sweep whose power-of-two
+    # device lattice stopped short of EDGE_DECAY, and one control that never did.
+    @pytest.mark.parametrize("n, g, delta", [
+        (256, 0.2, 1.0),
+        (256, 0.08, 2.0),
+        (256, 0.05, 4.0),
+        (256, 0.02, 0.5),
+        (256, 0.02, 2.0),
+        (1024, 0.08, 2.0),
+    ])
+    def test_weak_coupling(self, n, g, delta):
         vac = coherent_state(make_grid(n, -16.0, 16.0), 0, 0, 1)
         assert pointer_vs_direct(vac, CouplingSpec(g=g, delta_device=delta)) < 1e-12
+
+    @pytest.mark.parametrize("name", ["right-of-origin", "left-of-origin"])
+    @pytest.mark.parametrize("g", [1.0, 0.5])
+    def test_domain_beside_the_origin(self, name, g):
+        # the device Gaussian starts at 0, outside the g-scaled system lattice
+        sg = SYSTEM_GRIDS[name]
+        psi = coherent_state(sg, sg.x_min + 16.0, 0.5, 1)
+        assert pointer_vs_direct(psi, CouplingSpec(g=g, delta_device=1.0)) < 1e-12
 
     def test_under_resolved_device_lattice(self):
         # device spacing g*dx = 0.505 > sqrt(delta_device)/2: the device Gaussian
