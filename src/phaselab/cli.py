@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -182,6 +183,8 @@ def _parse_spec(spec: str) -> tuple:
         params = [float(t) for t in tokens[1:]]
     except ValueError:
         raise StateSpecError(f"state spec {spec!r}: parameters must be numbers") from None
+    if not all(map(math.isfinite, params)):
+        raise StateSpecError(f"state spec {spec!r}: parameters must be finite")
     if kind == "fock" and not params[0].is_integer():
         raise StateSpecError(f"state spec {spec!r}: the Fock index must be a whole number")
     return kind, params
@@ -343,7 +346,7 @@ def main(argv=None) -> int:
             extra = (args.which,) if args.command == "dist" else ()
             name, doc, ok = command(cfg, _build_state(cfg), *extra)
         plio.save_json(doc, out / name)
-    except (ValueError, ArithmeticError, MemoryError) as exc:
+    except (ValueError, ArithmeticError, MemoryError, OSError) as exc:
         print(f"error [{_origin(exc)}]: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0 if ok else 1

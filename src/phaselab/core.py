@@ -101,10 +101,15 @@ def check_grid_size(n: int) -> None:
         raise ValueError(f"grid size must be a power of two >= 16, got {n}")
 
 
+def check_positive(name: str, value: float) -> None:
+    """Refuse a parameter that is not a positive finite number (NaN included)."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def check_resolved(grid: Grid, delta: float) -> None:
     """A Gaussian of width parameter delta must span a few lattice cells."""
-    if delta <= 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    check_positive("delta", delta)
     if delta < 4.0 * grid.dx**2:
         raise ResolutionError(
             f"delta = {delta:g} under-resolved on spacing dx = {grid.dx:g} "
@@ -128,8 +133,8 @@ def gaussian_window(centers, x, delta: float) -> np.ndarray:
 def make_grid(n: int, x_min: float, x_max: float) -> Grid:
     """Build a lattice of n points (power of two, >= 16) over [x_min, x_max)."""
     check_grid_size(n)
-    if not (x_min < 0.0 < x_max):
-        raise ValueError(f"domain [{x_min}, {x_max}] must contain the origin")
+    if not (-math.inf < x_min < 0.0 < x_max < math.inf):
+        raise ValueError(f"domain [{x_min}, {x_max}] must be finite and contain the origin")
     return Grid(n=int(n), x_min=float(x_min), dx=(float(x_max) - float(x_min)) / n)
 
 
@@ -188,8 +193,9 @@ def coherent_state(grid: Grid, x0: float, p0: float, delta: float = 1.0) -> Wave
     Position amplitudes proportional to exp(-(x - x0)^2/(2*delta) + i*x*p0);
     the position density has variance delta/2, the momentum density 1/(2*delta).
     """
-    if delta <= 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    check_positive("delta", delta)
+    if not (math.isfinite(x0) and math.isfinite(p0)):
+        raise ValueError(f"coherent state centre ({x0}, {p0}) must be finite")
     _check_envelope(grid, x0, p0, delta)
     x = grid.x
     amp = np.exp(-((x - x0) ** 2) / (2.0 * delta) + 1j * x * p0)

@@ -16,13 +16,15 @@ forms X = |v| * 10**(16 - E) in double-double arithmetic from the integer
 mantissa and a table of 10**q held to about 107 bits, with an error below
 2**-100 * X (under 1e-13 for X < 1e17).  The 17 digits are X rounded; repr's
 digits are the fewest k for which the k-digit rounding of X lies strictly
-within the half-gap X / (2m) of X (m the integer mantissa).  Each value is
-laid out left-aligned in a NUL-padded row of bytes, and each chunk of table
-text is compacted once.  A value goes to Python's own formatter instead when
-any of these decisions falls within 1e-9 (in units of the last digit, relative
-for the half-gap test) of its boundary, which covers exact ties; when it is
-not finite; and, for repr, when its mantissa is a power of two, whose gap below
-is half the gap above.
+within the half-gap X / (2m) of X (m the integer mantissa).  One ``np.take``
+per chunk gathers each text from the value's digits, exponent digits and the
+bytes ``-.e+0``, in the order a cached layout table lists for its sign, digit
+count and notation (fixed point, or a two- or three-digit exponent of either
+sign); each chunk of table text is then compacted once.  A value goes to
+Python's own formatter instead when any of these decisions falls within 1e-9
+(in units of the last digit, relative for the half-gap test) of its boundary,
+which covers exact ties; when it is not finite; and, for repr, when its
+mantissa is a power of two, whose gap below is half the gap above.
 
 Layouts:
 
@@ -44,6 +46,7 @@ Layouts:
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import warnings
@@ -70,12 +73,15 @@ _FIELD = 24
 # scaled value carries an error below 2**-100 of itself, under 1e-13 units.
 _MARGIN = 1e-9
 
-_U64 = np.uint64
-_ALL = ~_U64(0)
-_DOTS = _U64(0x2E2E2E2E2E2E2E2E)
-_NO_POINT = 30  # point position of a text without a decimal point
-_LEADS = np.array([0x2E30, 0x302E30, 0x30302E30, 0x3030302E30], _U64)  # "0." .. "0.000"
 _POW10 = 10 ** np.arange(18, dtype=np.int64)
+
+# Each text is gathered from a source row: 17 digits, |exponent|'s 3 digits (a row
+# of _EXPONENTS), then _TAIL.  The notation of exponent e is the count of _NOTATIONS
+# <= e (0: three digits, negative; then two, negative; fixed -4..16; two; three).
+_TAIL = b"-.e+0\0"
+_EXPONENTS = np.frombuffer(b"".join(b"%03d" % k for k in range(325)), np.uint8).reshape(-1, 3)
+_MINUS, _POINT, _E, _PLUS, _ZERO, _NUL = range(20, 20 + len(_TAIL))
+_NOTATIONS = (-99, *range(-4, 18), 100)
 _Q_MIN, _Q_MAX = 16 - 308, 16 + 324  # 10**q scales each finite nonzero float into [1e16, 1e17)
 
 
@@ -129,9 +135,9 @@ def _digits17(a):
     """For finite a > 0: (d, r, e, m, x, doubt) with e = floor(log10(a)),
     d the 17-digit integer nearest X = a * 10**(16 - e), r = X - d, m the integer
     mantissa, x ~ X, and doubt where the rounding fell within the margin of a tie."""
-    bits = a.view(_U64)
-    be = (bits >> _U64(52)).view(np.int64)
-    frac = (bits & _U64((1 << 52) - 1)).view(np.int64)
+    bits = a.view(np.uint64)
+    be = (bits >> np.uint64(52)).view(np.int64)
+    frac = (bits & np.uint64((1 << 52) - 1)).view(np.int64)
     m = frac | (be > 0).astype(np.int64) << 52
     f = np.maximum(be, 1) - 1075
     e = np.floor(np.log10(a)).astype(np.int64)
@@ -198,21 +204,32 @@ def _decimal(a, shortest: bool):
     return d, e + carry, doubt
 
 
-def _low(n, i):
-    """Mask of the bytes of word i (text bytes 8i..8i+7) that lie before byte n."""
-    return _ALL >> (64 - 8 * np.minimum(n - 8 * i, 8)).view(_U64)
+@functools.cache
+def _layouts(shortest: bool) -> np.ndarray:
+    """The source columns of each text that repr (shortest) or ``'%.17g' %``
+    writes, NUL-padded to _FIELD, in row (neg * 17 + nd - 1) * 25 + notation for
+    sign neg and nd significant digits.  Built on first use, read-only."""
+    rows = []
+    for neg, nd, e in itertools.product((0, 1), range(1, 18), (-100, *_NOTATIONS)):
+        digits = list(range(nd))
+        if e < -4 or e >= (16 if shortest else 17):
+            text = digits[:1] + [_POINT] * (nd > 1) + digits[1:] + [_E, _MINUS if e < 0 else _PLUS]
+            text += [17, 18, 19][abs(e) < 100 :]
+        elif e < 0:
+            text = [_ZERO, _POINT] + [_ZERO] * (-e - 1) + digits
+        else:  # the digit columns past nd hold '0'
+            text = list(range(e + 1)) + ([_POINT] + digits[e + 1 :] if nd > e + 1
+                                         else [_POINT, _ZERO] * shortest)
+        rows.append([_MINUS] * neg + text + [_NUL] * (_FIELD - neg - len(text)))
+    table = np.array(rows, np.intp)
+    table.flags.writeable = False
+    return table
 
 
-def _at(word, n, i):
-    """The part of ``word`` placed at text byte n that falls in word i."""
-    k = 8 * (n - 8 * i)
-    return (word << k.view(_U64)) | (word >> (-k).view(_U64))
-
-
-def _digit_columns(d, width):
-    """The decimal digits of 0 <= d < 10**17, most significant first, in
-    ``width`` uint8 columns (digits from column 0; the rest 0)."""
-    out = np.zeros((d.size, width), np.uint8)
+def _digit_columns(d):
+    """The decimal digits of 0 <= d < 10**17, most significant first, in 17
+    uint8 columns."""
+    out = np.empty((d.size, 17), np.uint8)
     high = (d // 10**8).astype(np.uint32)
     low = (d - high.astype(np.int64) * 10**8).astype(np.uint32)
     for x, cols in ((low, range(16, 8, -1)), (high, range(8, -1, -1))):
@@ -228,57 +245,25 @@ def _encode(values, shortest: bool):
     or ``'%.17g' %`` writes it, left-aligned in a row of _FIELD bytes padded with
     NUL; also the mask of values handed to Python's formatter."""
     v = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    n = v.size
     a = np.abs(v)
     finite = a <= np.finfo(np.float64).max
     num = np.flatnonzero(finite & (a != 0))
-    d = np.zeros(n, np.int64)
-    e = np.zeros(n, np.int64)
+    d = np.zeros(v.size, np.int64)
+    e = np.zeros(v.size, np.int64)
     doubt = ~finite
     if num.size:
         d[num], e[num], doubt[num] = _decimal(a[num], shortest)
-    digits = _digit_columns(d, _FIELD)
-    nd = 17 - np.argmax(digits[:, 16::-1] != 0, axis=1)  # significant digits
+    digits = _digit_columns(d)
+    nd = 17 - np.argmax(digits[:, ::-1] != 0, axis=1)  # significant digits
     nd[d == 0] = 1
-    digits[:, :17] += 48
-    sci = (e < -4) | (e >= (16 if shortest else 17))
-    whole = ~sci & (e >= 0)  # fixed notation, |v| >= 1
-    frac = ~sci & (e < 0)  # fixed notation, "0." then zeros
-    point = np.full(n, _NO_POINT)  # the point follows digit `point`
-    point[sci & (nd > 1)] = 0
-    inner = whole & (nd > e + 1)
-    point[inner] = e[inner]
-    end = np.where(whole, np.maximum(nd, e + 1), nd) + (point != _NO_POINT)
-    ae = np.abs(e).view(_U64)
-    big = ae >= 100
-    at = _U64(16) + big * _U64(8)
-    suffix = (_U64(0x65) | ((_U64(0x2B) + (e < 0) * _U64(2)) << _U64(8))  # "e+" or "e-"
-              | (((_U64(48) + ae // _U64(100)) << _U64(16)) * big)
-              | ((_U64(48) + ae // _U64(10) % _U64(10)) << at)
-              | ((_U64(48) + ae % _U64(10)) << (at + _U64(8)))) * sci
-    if shortest:
-        suffix[whole & (nd <= e + 1)] = 0x302E  # ".0"
-    neg = np.signbit(v)
-    zeros = np.clip(-e - 1, 0, 3)
-    shift = frac * (zeros + 2) + neg  # bytes before the first digit
-    head = (_LEADS[zeros] * frac << (8 * neg).view(_U64)) | neg * _U64(45)  # "-", "0.", ...
-    left, right = (8 * shift).view(_U64), (64 - 8 * shift).view(_U64)
-    # Each text is three little-endian words: the digits with '.' put after digit
-    # `point`, cut at byte `end`, the suffix at `end`, all moved `shift` bytes on
-    # behind the head.
-    words = digits.view(_U64)
-    out = np.empty((n, 3), _U64)
-    prev = _U64(0)
-    for i in range(3):
-        w = words[:, i]
-        below, upto = _low(point + 1, i), _low(point + 2, i)
-        moved = (w << _U64(8)) | (words[:, i - 1] >> _U64(56) if i else _U64(0))
-        body = ((w & below) | (moved & ~upto) | (_DOTS & upto & ~below)) & _low(end, i)
-        body |= _at(suffix, end, i)
-        out[:, i] = (body << left) | (prev >> right)
-        prev = body
-    out[:, 0] |= head
-    out = out.view(np.uint8)
+    source = np.empty((v.size, 20 + len(_TAIL)), np.uint8)
+    np.add(digits, 48, out=source[:, :17])
+    source[:, 17:20] = np.take(_EXPONENTS, np.abs(e), axis=0)
+    source[:, 20:] = np.frombuffer(_TAIL, np.uint8)
+    layout = (np.signbit(v) * 17 + nd - 1) * 25 + np.searchsorted(_NOTATIONS, e, side="right")
+    columns = _layouts(shortest)[layout]
+    columns += np.arange(0, source.size, source.shape[1])[:, None]
+    out = np.take(source, columns)
     for i in np.flatnonzero(doubt):
         text = (json.dumps(float(v[i])) if shortest else "%.17g" % v[i]).encode()
         out[i] = 0
@@ -289,7 +274,7 @@ def _encode(values, shortest: bool):
 def _encode_ints(values):
     """``'%d'`` of each integer in [0, 10**17), right-aligned in 17 bytes padded
     with NUL."""
-    digits = _digit_columns(np.asarray(values, dtype=np.int64), 17)
+    digits = _digit_columns(np.asarray(values, dtype=np.int64))
     shown = np.maximum.accumulate(digits != 0, axis=1)
     shown[:, -1] = True
     return (digits + 48) * shown

@@ -33,6 +33,7 @@ from .core import (
     WaveFunction,
     as_momentum,
     as_position,
+    check_positive,
     check_resolved,
     fourier_sum,
     gaussian_window,
@@ -65,8 +66,7 @@ class GaussianMeasurement:
     delta: float
 
     def __post_init__(self):
-        if self.delta <= 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        check_positive("delta", self.delta)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from .core import (
     Grid,
     WaveFunction,
     as_position,
+    check_positive,
     check_resolved,
     fourier_sum,
     gaussian_window,
@@ -41,10 +42,8 @@ class CouplingSpec:
     delta_device: float = 1.0
 
     def __post_init__(self):
-        if self.g <= 0.0:
-            raise ValueError(f"g must be positive, got {self.g}")
-        if self.delta_device <= 0.0:
-            raise ValueError(f"delta_device must be positive, got {self.delta_device}")
+        check_positive("g", self.g)
+        check_positive("delta_device", self.delta_device)
 
 
 @dataclass(frozen=True)
@@ -149,8 +148,7 @@ def weak_rescale(joint: PhaseSpaceGrid, g: float) -> PhaseSpaceGrid:
     """Substitute the rescaled readout x_bar = x/g, with the Jacobian factor g
     keeping the density normalized; comparable to the Husimi function with
     delta = delta_device/g^2."""
-    if g <= 0.0:
-        raise ValueError(f"g must be positive, got {g}")
+    check_positive("g", g)
     delta = None if joint.delta is None else joint.delta / g**2
     return PhaseSpaceGrid(
         x=joint.x / g, p=joint.p, kind=joint.kind, values=g * joint.values, delta=delta

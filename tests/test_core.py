@@ -47,6 +47,11 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             make_grid(64, 1, 9)
 
+    @pytest.mark.parametrize("x_min, x_max", [(-8, math.inf), (-math.inf, 8), (math.nan, 8)])
+    def test_rejects_non_finite_domain(self, x_min, x_max):
+        with pytest.raises(ValueError, match="must be finite"):
+            make_grid(64, x_min, x_max)
+
 
 class TestCoherentState:
     def test_vacuum_amplitudes(self, grid, vacuum):
@@ -70,6 +75,13 @@ class TestCoherentState:
     def test_rejects_bad_delta(self, grid):
         with pytest.raises(ValueError):
             coherent_state(grid, 0.0, 0.0, -1.0)
+
+    @pytest.mark.parametrize("x0, p0, delta", [
+        (math.nan, 0.0, 1.0), (0.0, math.inf, 1.0), (0.0, 0.0, math.nan), (0.0, 0.0, math.inf),
+    ])
+    def test_rejects_non_finite_parameters(self, grid, x0, p0, delta):
+        with pytest.raises(ValueError, match="finite"):
+            coherent_state(grid, x0, p0, delta)
 
     @pytest.mark.parametrize("delta", [0.25, 1.0, 4.0])
     def test_heisenberg_product(self, grid, delta):

@@ -23,7 +23,9 @@ def _python(values, shortest):
 
 def _edges():
     """Zeros, non-finite values, subnormals, the extremes, powers of 2 and 10
-    with their neighbours, integers near 2**53, 1e16/1e17 and 9.99...e22 carries."""
+    with their neighbours, integers near 2**53, 1e16/1e17 and 9.99...e22 carries,
+    and m * 10**k for m of 1 to 17 digits at every fixed-point exponent and at
+    two- and three-digit exponents of both signs."""
     vals = [0.0, np.inf, np.nan, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
             np.finfo(np.float64).max, 2.0**53 - 1, 2.0**53, 2.0**53 + 2, 2.0**54 + 4,
             1e16, 1e17, 9.999999999999999e22, 9.9999999999999999e22, 1 + 2.0**-17,
@@ -34,6 +36,11 @@ def _edges():
     for k in range(-323, 309):
         x = float(f"1e{k}")
         vals += [x, np.nextafter(x, 0.0), np.nextafter(x, np.inf), 9.999999999999999 * x]
+    for digits in range(1, 18):  # nine last digits, as %.17g shortens only some values
+        for last in "123456789":
+            m = "1234567891234567"[: digits - 1] + last
+            for e in (*range(-7, 20), -300, -100, -99, 99, 100, 300):
+                vals.append(float(f"{m}e{e - digits + 1}"))
     vals = np.array([v for v in vals if not np.isinf(v) or v > 0])
     return np.concatenate([vals, -vals])
 

@@ -421,6 +421,34 @@ class TestBadInput:
         assert "Traceback" not in err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [
+        ["state", "--state", "coherent nan 0 1"],
+        ["state", "--state", "coherent 0 inf 1"],
+        ["state", "--state", "cat nan"],
+        ["state", "--state", "coherent 0 0 nan"],
+        ["state", "--x-max", "inf"],
+        ["dist", "--which", "husimi", "--delta", "nan"],
+        ["dist", "--which", "husimi", "--delta", "inf"],
+        ["sample", "--shots", "1000", "--delta", "nan"],
+        ["pointer", "--g", "nan"],
+        ["pointer", "--delta-device", "nan"],
+    ], ids=["coherent-x0", "coherent-p0", "cat", "coherent-delta", "x-max", "dist-delta-nan",
+            "dist-delta-inf", "sample-delta", "pointer-g", "pointer-delta-device"])
+    def test_non_finite_number_one_line_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [") and err.count("\n") == 1 and "finite" in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command, out", [(["state"], "afile"), (["dist"], "afile/sub")],
+                             ids=["file-exists", "not-a-directory"])
+    def test_unusable_output_path_one_line_error(self, tmp_path, capsys, command, out):
+        (tmp_path / "afile").write_text("")
+        assert main(command + ["--out", str(tmp_path / out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [phaselab]: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 1.00 TiB")],
                              ids=["bare", "numpy-message"])
     def test_memory_error_is_one_line(self, tmp_path, capsys, monkeypatch, exc):

@@ -397,7 +397,7 @@ class TestInverseCdf:
 
 
 class TestDeltaPositive:
-    @pytest.mark.parametrize("delta", [0.0, -1.0])
+    @pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("call", [
         lambda psi, d: husimi(psi, d),
         lambda psi, d: m_density(psi, d),

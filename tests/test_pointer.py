@@ -87,6 +87,12 @@ class TestDeviceGridFor:
             tracemalloc.stop()
         assert peak < 2**20
 
+    @pytest.mark.parametrize("g, delta", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan),
+                                          (1.0, math.inf), (0.0, 1.0)])
+    def test_coupling_spec_rejects_non_finite_or_non_positive(self, g, delta):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            CouplingSpec(g=g, delta_device=delta)
+
 
 class TestMakeComposite:
     def test_product_structure(self, sys_grid, dev_grid):
