@@ -50,6 +50,7 @@ from .phasespace import (
 from .pointer import (
     CompositeWaveFunction,
     CouplingSpec,
+    ProductWaveFunction,
     apply_interaction,
     device_grid_for,
     make_composite,

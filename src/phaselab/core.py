@@ -110,10 +110,12 @@ def check_positive(name: str, value: float) -> None:
 def check_resolved(grid: Grid, delta: float) -> None:
     """A Gaussian of width parameter delta must span a few lattice cells."""
     check_positive("delta", delta)
-    if delta < 4.0 * grid.dx**2:
+    # products, not dx**2: a float power raises OverflowError where a product gives inf
+    need = 4.0 * grid.dx * grid.dx
+    if delta < need:
         raise ResolutionError(
             f"delta = {delta:g} under-resolved on spacing dx = {grid.dx:g} "
-            f"(need delta >= 4*dx^2 = {4 * grid.dx**2:g})"
+            f"(need delta >= 4*dx^2 = {need:g})"
         )
 
 
@@ -172,6 +174,13 @@ def normalize(psi: WaveFunction) -> WaveFunction:
 
 
 def _check_envelope(grid: Grid, x0: float, p0: float, delta: float) -> None:
+    """The Gaussian centred on (x0, p0) has decayed to EDGE_DECAY at the lattice
+    edges; the edge test presumes a centre inside both lattices, so that is checked first."""
+    if not (grid.x_min <= x0 < grid.x_max and -math.pi / grid.dx <= p0 < math.pi / grid.dx):
+        raise EnvelopeError(
+            f"coherent state centre ({x0:g}, {p0:g}) lies outside the lattice "
+            f"[{grid.x_min:g}, {grid.x_max:g}) x [{-math.pi / grid.dx:g}, {math.pi / grid.dx:g})"
+        )
     for edge in (grid.x[0], grid.x[-1]):
         env = math.exp(-((edge - x0) ** 2) / (2.0 * delta))
         if env > EDGE_DECAY:
@@ -243,8 +252,11 @@ def fourier_sum(f, src: np.ndarray, dst: np.ndarray, weight: float, sign: int, a
     """
     f = np.asarray(f)
     n = src.size
-    ds, dk = src[1] - src[0], dst[1] - dst[0]
-    if abs(ds * dk * n / TWO_PI - 1.0) > 1e-12:
+    dk = dst[1] - dst[0]
+    # the check takes each spacing over the whole lattice: src[1] - src[0] loses
+    # digits to cancellation when |src[0]| is many spacings
+    span = (src[-1] - src[0]) * (dst[-1] - dst[0]) / ((n - 1) * (dst.size - 1))
+    if abs(span * n / TWO_PI - 1.0) > 1e-12:
         raise ValueError("lattices are not Fourier-conjugate")
     f = np.moveaxis(f, axis, -1)
     inner = f * np.exp(sign * 1j * dst[0] * src)

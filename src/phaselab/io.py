@@ -240,10 +240,20 @@ def _digit_columns(d):
     return out
 
 
+@functools.cache
+def _specials(shortest: bool) -> np.ndarray:
+    """The NUL-padded texts of NaN, inf and -inf as ``json.dumps`` (shortest) or
+    ``'%.17g' %`` writes them, whatever the sign of a NaN."""
+    texts = (b"NaN", b"Infinity", b"-Infinity") if shortest else (b"nan", b"inf", b"-inf")
+    table = np.frombuffer(b"".join(t.ljust(_FIELD, b"\0") for t in texts), np.uint8)
+    return table.reshape(3, _FIELD)
+
+
 def _encode(values, shortest: bool):
     """Text of each float as ``json.dumps`` (shortest=True: repr, NaN, Infinity)
     or ``'%.17g' %`` writes it, left-aligned in a row of _FIELD bytes padded with
-    NUL; also the mask of values handed to Python's formatter."""
+    NUL; also the mask of values not laid out from their digits: the non-finite
+    ones, taken from a table, and those handed to Python's formatter."""
     v = np.ascontiguousarray(values, dtype=np.float64).ravel()
     a = np.abs(v)
     finite = a <= np.finfo(np.float64).max
@@ -264,7 +274,10 @@ def _encode(values, shortest: bool):
     columns = _layouts(shortest)[layout]
     columns += np.arange(0, source.size, source.shape[1])[:, None]
     out = np.take(source, columns)
-    for i in np.flatnonzero(doubt):
+    special = v[~finite]
+    if special.size:  # rows 0, 1, 2 of _specials: NaN of either sign, inf, -inf
+        out[~finite] = _specials(shortest)[np.where(np.isnan(special), 0, 1 + np.signbit(special))]
+    for i in np.flatnonzero(doubt & finite):
         text = (json.dumps(float(v[i])) if shortest else "%.17g" % v[i]).encode()
         out[i] = 0
         out[i, : len(text)] = np.frombuffer(text, np.uint8)

@@ -45,8 +45,9 @@ from .phasespace import DistributionKind, PhaseSpaceGrid
 # Philox stream per chunk) is independent of the worker count.
 CHUNK = 4096
 
-# Outcome rows per block of a chunk, so that a block's window, amplitudes and
-# momentum density stay in L2 (at n = 256 a block's amplitudes are 512 KiB).
+# Outcome rows per block of a sampling chunk or of ``successive_density``, so
+# that a block's window, amplitudes and momentum density stay in L2 (at n = 256
+# a block's amplitudes are 512 KiB).
 BLOCK = 128
 
 MIN_COLLAPSE_NORM = 1e-12
@@ -118,14 +119,18 @@ def successive_density(psi: WaveFunction, delta: float) -> PhaseSpaceGrid:
     """Joint density |<p|M(x)|psi>|^2 of the successive measurement.
 
     Computed through the measurement-operator route, one outcome x per lattice
-    row, all rows in one transform; identical to the Husimi function with the
-    same delta.
+    row, in blocks of BLOCK rows, each block in one transform; identical to
+    the Husimi function with the same delta.
     """
     pos = as_position(psi)
     g = pos.grid
     check_resolved(g, delta)
-    amps = _m_diag(g, g.x[:, None], delta) * pos.amp
-    values = np.abs(fourier_sum(amps, g.x, g.p, g.dx / math.sqrt(TWO_PI), sign=-1, axis=-1)) ** 2
+    values = np.empty((g.n, g.n))
+    for lo in range(0, g.n, BLOCK):
+        rows = slice(lo, lo + BLOCK)
+        amps = _m_diag(g, g.x[rows, None], delta) * pos.amp
+        phi = fourier_sum(amps, g.x, g.p, g.dx / math.sqrt(TWO_PI), sign=-1, axis=-1)
+        values[rows] = np.abs(phi) ** 2
     return PhaseSpaceGrid(
         x=g.x, p=g.p, kind=DistributionKind.HUSIMI, values=values, delta=float(delta)
     )

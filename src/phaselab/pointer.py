@@ -5,6 +5,16 @@ an impulsive interaction that shifts the device position by g times the system
 position.  Reading the device position and the system momentum yields a joint
 density equal to the Husimi function; the weak-coupling regime maps onto
 delta = 1/g^2 after rescaling the device readout by 1/g.
+
+The uncoupled composite is held as its two factors, the 1-D device Gaussian
+and the system state, and the coupling forms only the rows it is asked for.
+On a whole-cell device lattice row i, column k of the coupled composite is
+env[(i - m0 - r*k) mod n_d] * psi_k, one gather; ``pointer_vs_direct`` forms
+only the n readout rows, in blocks of BLOCK rows, and reads out and compares
+each block as it goes, so at weak coupling its memory does not grow with the
+device lattice (n = 1024, g = 0.08, delta_device = 4: 20 MiB, where the
+whole n_d x n composite took 505 MiB).  Elsewhere the momentum-space phase
+runs in blocks of min(n, BLOCK) columns, which is what MAX_DEVICE_CELLS bounds.
 """
 
 from __future__ import annotations
@@ -27,10 +37,11 @@ from .core import (
     gaussian_window,
     split_cells,
 )
-from .measurement import successive_density
+from .measurement import BLOCK, successive_density
 from .phasespace import DistributionKind, PhaseSpaceGrid
 
-# Most device x system cells of a default device lattice: 1 GiB per complex array.
+# Most device x system cells that one block of a default device lattice holds,
+# n_d x min(n, BLOCK): 1 GiB as complex128.
 MAX_DEVICE_CELLS = 2**26
 
 
@@ -67,6 +78,37 @@ class CompositeWaveFunction:
             float(np.sum(np.abs(self.amp) ** 2)) * self.device_grid.dx * self.system_grid.dx
         )
 
+    def columns(self, cols: slice) -> np.ndarray:
+        return self.amp[:, cols]
+
+
+@dataclass(frozen=True)
+class ProductWaveFunction:
+    """The composite before the coupling, held as its two factors: the device
+    amplitudes ``env`` and the system state ``psi`` (position basis).  ``amp``
+    forms their n_d x n product each time it is read; the coupling takes its
+    rows or columns from the factors instead."""
+
+    device_grid: Grid
+    env: np.ndarray
+    psi: WaveFunction
+    delta_device: float
+
+    @property
+    def system_grid(self) -> Grid:
+        return self.psi.grid
+
+    @property
+    def amp(self) -> np.ndarray:
+        return self.columns(slice(None))
+
+    def columns(self, cols: slice) -> np.ndarray:
+        amp = np.outer(self.env, self.psi.amp[cols])
+        amp.flags.writeable = False
+        return amp
+
+    norm = CompositeWaveFunction.norm
+
 
 def device_grid_for(system_grid: Grid, spec: CouplingSpec) -> Grid:
     """Default device grid: the system lattice scaled by g, so the rescaled readout
@@ -77,58 +119,93 @@ def device_grid_for(system_grid: Grid, spec: CouplingSpec) -> Grid:
     left = math.ceil((reach + max(0.0, spec.g * system_grid.x_min)) / dx_d)
     right = math.ceil((reach + max(0.0, -spec.g * system_grid.x[-1])) / dx_d)
     n_d = left + system_grid.n + right
-    if n_d * system_grid.n > MAX_DEVICE_CELLS:
-        raise ValueError(f"device lattice {n_d} x {system_grid.n} exceeds {MAX_DEVICE_CELLS} cells")
+    width = min(system_grid.n, BLOCK)
+    if n_d * width > MAX_DEVICE_CELLS:
+        raise ValueError(f"device lattice {n_d} x {width} exceeds {MAX_DEVICE_CELLS} cells")
     return Grid(n=n_d, x_min=spec.g * (system_grid.x_min - left * system_grid.dx), dx=dx_d)
 
 
-def make_composite(device_grid: Grid, delta: float, psi: WaveFunction) -> CompositeWaveFunction:
-    """Product of the normalized device Gaussian exp(-x^2/(2*delta)) with the system state."""
+def make_composite(device_grid: Grid, delta: float, psi: WaveFunction) -> ProductWaveFunction:
+    """Product of the normalized device Gaussian exp(-x^2/(2*delta)) with the system
+    state, held as these two factors."""
     check_resolved(device_grid, delta)
     env = gaussian_window(device_grid.x, 0.0, delta)
     if max(env[0], env[-1]) > EDGE_DECAY:
         raise EnvelopeError("device Gaussian does not decay at the device grid edges")
     env = env / math.sqrt(float(np.sum(env**2)) * device_grid.dx)
-    pos = as_position(psi)
-    amp = np.outer(env, pos.amp)
-    return CompositeWaveFunction(
-        device_grid=device_grid,
-        system_grid=pos.grid,
-        amp=amp,
-        delta_device=float(delta),
-    )
+    env.flags.writeable = False
+    return ProductWaveFunction(device_grid, env, as_position(psi), float(delta))
 
 
-def apply_interaction(comp: CompositeWaveFunction, g: float) -> CompositeWaveFunction:
-    """Impulsive coupling exp(-i*g*x_sys*p_dev): shifts the device by g*x_sys.
+def _coupled_rows(env: np.ndarray, psi: np.ndarray, rows: np.ndarray, m0: int, r: int):
+    """Rows ``rows`` of the product env x psi with column k rolled down by
+    m0 + r*k cells: (i, k) is env[(i - m0 - r*k) mod n_d] * psi_k, multiplied
+    as ``np.outer`` multiplies."""
+    return np.take(env, np.subtract.outer(rows - m0, r * np.arange(psi.size)), mode="wrap") * psi
+
+
+def _coupled_blocks(comp: CompositeWaveFunction | ProductWaveFunction, g: float,
+                    rows: np.ndarray, size: int):
+    """Rows ``rows`` of the coupled composite exp(-i*g*x_sys*p_dev)|comp>, in
+    blocks of ``size``, once the shifted device envelope is known to stay off
+    the device grid edges.
 
     Column k moves by c + r*k device cells, c = g*x_min/dx_dev, r = g*dx/dx_dev.
     Where c and r are whole numbers, r >= 1 (within 1e-9; ``device_grid_for``
     gives r = 1), that is a circular roll of each column: exact, as the phase
-    exp(-i*m*dx_dev*p) of a whole m-cell shift is that roll.  Else each column
-    gets its own momentum-space phase.
+    exp(-i*m*dx_dev*p) of a whole m-cell shift is that roll.  For a product
+    composite each block and the two edge rows are then ``_coupled_rows`` of
+    its factors, and the largest amplitude is that of max(env) times psi, as
+    a roll only permutes a column.  Any other composite or lattice gets the
+    momentum-space phase in blocks of min(n, BLOCK) columns, of which only
+    ``rows`` and the edge rows are kept.
     """
     gd, gs = comp.device_grid, comp.system_grid
-    if g == 0.0:
-        return comp
     r, r_frac = split_cells(g * gs.dx / gd.dx)
     m0, frac = split_cells(g * gs.x_min / gd.dx)
-    if r >= 1 and r_frac == 0.0 and frac == 0.0:
-        # (i, k) <- row (i - m0 - r*k) mod n_d of column k, a flat index mod the size
-        amp = np.take(comp.amp.reshape(-1), mode="wrap", indices=np.add.outer(
-            (np.arange(gd.n) - m0) * gs.n, (1 - r * gs.n) * np.arange(gs.n)))
+    edges = np.array([0, gd.n - 1])
+    if isinstance(comp, ProductWaveFunction) and r >= 1 and r_frac == 0.0 and frac == 0.0:
+        env, psi = comp.env, comp.psi.amp
+        edge_rows = _coupled_rows(env, psi, edges, m0, r)
+        peak = float(np.max(np.abs(env.max() * psi)))
+
+        def block(lo):
+            return _coupled_rows(env, psi, rows[lo : lo + size], m0, r)
     else:
-        phi = fourier_sum(comp.amp, gd.x, gd.p, gd.dx / math.sqrt(TWO_PI), sign=-1, axis=0)
-        phi = phi * np.exp(-1j * g * np.outer(gd.p, gs.x))
-        amp = fourier_sum(phi, gd.p, gd.x, gd.dp / math.sqrt(TWO_PI), sign=+1, axis=0)
-    out = CompositeWaveFunction(gd, gs, amp, comp.delta_device)
-    edge = max(float(np.max(np.abs(amp[0]))), float(np.max(np.abs(amp[-1]))))
-    if edge > 1e-10 * float(np.max(np.abs(amp))):
+        keep = np.concatenate([edges, rows])
+        kept = np.empty((keep.size, gs.n), np.complex128)
+        peak = 0.0
+        x, p = gd.x, gd.p
+        for lo in range(0, gs.n, BLOCK):
+            cols = slice(lo, lo + BLOCK)
+            phi = fourier_sum(comp.columns(cols), x, p, gd.dx / math.sqrt(TWO_PI), sign=-1, axis=0)
+            phi = phi * np.exp(-1j * g * np.outer(p, gs.x[cols]))
+            amp = fourier_sum(phi, p, x, gd.dp / math.sqrt(TWO_PI), sign=+1, axis=0)
+            kept[:, cols] = amp[keep]
+            peak = max(peak, float(np.max(np.abs(amp))))
+        edge_rows = kept[:2]
+
+        def block(lo):
+            return kept[2 + lo : 2 + lo + size]
+    edge = float(np.max(np.abs(edge_rows)))
+    if edge > 1e-10 * peak:
         raise EnvelopeError(
             f"shifted device envelope reaches the device grid edge (relative edge "
-            f"amplitude {edge / float(np.max(np.abs(amp))):.3g}); widen the device grid"
+            f"amplitude {edge / peak:.3g}); widen the device grid"
         )
-    return out
+    for lo in range(0, rows.size, size):
+        yield block(lo)
+
+
+def apply_interaction(comp: CompositeWaveFunction | ProductWaveFunction,
+                      g: float) -> CompositeWaveFunction:
+    """Impulsive coupling exp(-i*g*x_sys*p_dev): shifts the device by g*x_sys,
+    on every row of the device lattice (see ``_coupled_blocks``)."""
+    if g == 0.0:
+        return comp
+    gd = comp.device_grid
+    (amp,) = _coupled_blocks(comp, g, np.arange(gd.n), gd.n)
+    return CompositeWaveFunction(gd, comp.system_grid, amp, comp.delta_device)
 
 
 def readout_joint(comp: CompositeWaveFunction) -> PhaseSpaceGrid:
@@ -158,16 +235,26 @@ def weak_rescale(joint: PhaseSpaceGrid, g: float) -> PhaseSpaceGrid:
 def pointer_vs_direct(psi: WaveFunction, spec: CouplingSpec) -> float:
     """L-inf deviation between the rescaled pointer-model joint density and the
     direct successive-measurement density with delta = delta_device/g^2, read
-    out on the n device rows whose rescaled positions are the system lattice."""
+    out on the n device rows whose rescaled positions are the system lattice.
+
+    Only those rows of the coupled composite are formed, and they are read out
+    and compared in blocks of BLOCK rows; the device lattice enters as its
+    1-D Gaussian, or, off whole cells, as blocks of BLOCK columns.
+    """
     pos = as_position(psi)
     sg = pos.grid
     dg = device_grid_for(sg, spec)
-    comp = apply_interaction(make_composite(dg, spec.delta_device, pos), spec.g)
+    comp = make_composite(dg, spec.delta_device, pos)
     left = round((spec.g * sg.x_min - dg.x_min) / dg.dx)
-    rows = Grid(n=sg.n, x_min=float(dg.x[left]), dx=dg.dx)
-    comp = CompositeWaveFunction(rows, sg, comp.amp[left : left + sg.n], spec.delta_device)
-    joint = weak_rescale(readout_joint(comp), spec.g)
-    if not np.allclose(joint.x, sg.x, atol=1e-9):
+    x = dg.x[left : left + sg.n]
+    if not np.allclose(x / spec.g, sg.x, atol=1e-9):
         raise AssertionError("rescaled device lattice does not contain the system lattice")
-    direct = successive_density(pos, spec.delta_device / spec.g**2)
-    return float(np.max(np.abs(joint.values - direct.values)))
+    direct = successive_density(pos, spec.delta_device / spec.g**2).values
+    deviation = 0.0
+    blocks = _coupled_blocks(comp, spec.g, left + np.arange(sg.n), BLOCK)
+    for lo, amp in zip(range(0, sg.n, BLOCK), blocks):
+        rows = Grid(n=amp.shape[0], x_min=float(x[lo]), dx=dg.dx)
+        block = CompositeWaveFunction(rows, sg, amp, spec.delta_device)
+        joint = weak_rescale(readout_joint(block), spec.g)
+        deviation = max(deviation, float(np.max(np.abs(joint.values - direct[lo : lo + BLOCK]))))
+    return deviation

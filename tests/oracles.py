@@ -233,6 +233,51 @@ def successive_density_reference(psi, delta):
     return values
 
 
+def successive_density_whole(psi, delta):
+    """|<p|M(x)|psi>|^2 values with every x row in one transform, as computed
+    before the row blocks."""
+    from phaselab.core import as_position, fourier_sum, gaussian_window
+
+    pos = as_position(psi)
+    g = pos.grid
+    amps = (delta * np.pi) ** -0.25 * gaussian_window(g.x, g.x[:, None], delta) * pos.amp
+    phi = fourier_sum(amps, g.x, g.p, g.dx / np.sqrt(2.0 * np.pi), sign=-1, axis=-1)
+    return np.abs(phi) ** 2
+
+
+def pointer_vs_direct_reference(psi, spec):
+    """pointer_vs_direct as computed before the row blocks: the whole n_d x n
+    composite ``np.outer``, coupled by one flat gather of column rolls on a
+    whole-cell lattice (kept to the n readout rows, which is all of it that was
+    read) or else by the momentum-phase kernel, then one readout transform and
+    the whole-array direct density."""
+    from types import SimpleNamespace
+
+    from phaselab.core import as_position, fourier_sum, gaussian_window, split_cells
+    from phaselab.pointer import device_grid_for
+
+    pos = as_position(psi)
+    sg = pos.grid
+    dg = device_grid_for(sg, spec)
+    env = gaussian_window(dg.x, 0.0, spec.delta_device)
+    env = env / np.sqrt(float(np.sum(env**2)) * dg.dx)
+    amp = np.outer(env, pos.amp)
+    left = round((spec.g * sg.x_min - dg.x_min) / dg.dx)
+    r, r_frac = split_cells(spec.g * sg.dx / dg.dx)
+    m0, frac = split_cells(spec.g * sg.x_min / dg.dx)
+    if r >= 1 and r_frac == 0.0 and frac == 0.0:
+        rows = np.arange(left, left + sg.n)
+        amp = np.take(amp.reshape(-1), mode="wrap", indices=np.add.outer(
+            (rows - m0) * sg.n, (1 - r * sg.n) * np.arange(sg.n)))
+    else:
+        comp = SimpleNamespace(device_grid=dg, system_grid=sg, amp=amp)
+        amp = apply_interaction_reference(comp, spec.g)[left : left + sg.n]
+    phi = fourier_sum(amp, sg.x, sg.p, sg.dx / np.sqrt(2.0 * np.pi), sign=-1, axis=1)
+    joint = spec.g * np.abs(phi) ** 2
+    direct = successive_density_whole(pos, spec.delta_device / spec.g**2)
+    return float(np.max(np.abs(joint - direct)))
+
+
 def apply_interaction_reference(comp, g):
     """Coupled composite amplitudes as first written: one momentum-space phase
     column per system lattice point, exp(-i*g*outer(p_dev, x_sys))."""

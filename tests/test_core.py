@@ -19,7 +19,7 @@ from phaselab import (
     to_momentum,
     to_position,
 )
-from phaselab.core import as_momentum
+from phaselab.core import Grid, ResolutionError, as_momentum, check_resolved, fourier_sum
 
 
 class TestMakeGrid:
@@ -71,6 +71,13 @@ class TestCoherentState:
     def test_envelope_rejection(self, grid):
         with pytest.raises(EnvelopeError):
             coherent_state(grid, 14.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("x0, p0", [(40.0, 0.0), (-16.5, 0.0), (16.0, 0.0), (0.0, 30.0),
+                                        (0.0, -26.0), (-1e300, 0.0)])
+    def test_rejects_centre_outside_the_lattice(self, grid, x0, p0):
+        # [-16, 16) x [-8*pi, 8*pi): the edge test would read the Gaussian's tail as its peak
+        with pytest.raises(EnvelopeError, match="centre .* outside the lattice"):
+            coherent_state(grid, x0, p0, 1.0)
 
     def test_rejects_bad_delta(self, grid):
         with pytest.raises(ValueError):
@@ -170,6 +177,17 @@ class TestTransforms:
         with pytest.raises(ValueError):
             to_momentum(to_momentum(vacuum))
 
+    def test_conjugacy_check_on_a_fine_offset_lattice(self):
+        # the device lattice of n = 1024 on [-15, 17.3) at g = 0.08, delta_device = 4:
+        # x[1] - x[0] is off by about 1.4e-12 relative, more than the check's tolerance
+        g = Grid(n=12808, x_min=-16.06809375, dx=0.0025234374999999996)
+        f = np.exp(-(g.x**2))
+        back = fourier_sum(fourier_sum(f, g.x, g.p, 1.0, sign=-1), g.p, g.x, 1.0 / g.n, sign=+1)
+        # the output phase still steps by x[1] - x[0]: about 1e-8 after the round trip
+        assert np.max(np.abs(back - f)) < 1e-6
+        with pytest.raises(ValueError, match="not Fourier-conjugate"):
+            fourier_sum(f, g.x, g.p * (1.0 + 1e-9), 1.0, sign=-1)
+
     def test_lattice_shift_is_pure_phase(self, grid, rng):
         psi = random_state(grid, rng)
         rolled = WaveFunction(grid, Basis.POSITION, np.roll(psi.amp, 5))
@@ -219,3 +237,9 @@ class TestExpectation:
 def test_constructors_normalized(grid, rng):
     for _ in range(20):
         assert abs(random_state(grid, rng).norm() - 1.0) < 1e-9
+
+
+def test_resolution_check_on_a_huge_spacing():
+    # 4*dx**2 overflows: the check still ends in a ResolutionError naming delta and dx
+    with pytest.raises(ResolutionError, match=r"delta = 1 under-resolved on spacing dx = 1e\+299"):
+        check_resolved(Grid(n=256, x_min=-1.6e301, dx=1e299), 1.0)

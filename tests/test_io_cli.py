@@ -397,6 +397,13 @@ class TestCmdPointer:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_weak_coupling_on_a_fractional_domain_passes(self, tmp_path):
+        # a device lattice of 12808 points that x_min/dx leaves off whole cells
+        code = main(["pointer", "--grid-n", "1024", "--x-min", "-15", "--x-max", "17.3",
+                     "--g", "0.08", "--delta-device", "4", "--out", str(tmp_path)])
+        assert code == 0
+        assert json.loads((tmp_path / "pointer.report.json").read_text())["max_deviation"] < 1e-5
+
     def test_weak_wide_device_gaussian_passes(self, tmp_path):
         code = main(["pointer", "--g", "0.05", "--delta-device", "4", "--out", str(tmp_path)])
         assert code == 0
@@ -439,6 +446,20 @@ class TestBadInput:
         assert main(argv + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error [") and err.count("\n") == 1 and "finite" in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, line", [
+        (["pointer", "--g", "1e300"],
+         "error [pointer]: delta = 1 under-resolved on spacing dx = 1.25e+299 "),
+        (["state", "--state", "coherent 40 0 1"], "error [core]: coherent state centre (40, 0) "),
+        (["state", "--state", "coherent 0 30 1"], "error [core]: coherent state centre (0, 30) "),
+        (["state", "--state", "cat 1e300"], "error [core]: coherent state centre (-1e+300, 0) "),
+    ], ids=["huge-g", "centre-right-of-lattice", "centre-above-momenta", "huge-cat"])
+    def test_out_of_range_number_one_line_error(self, tmp_path, capsys, argv, line):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(line) and err.count("\n") == 1
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("command, out", [(["state"], "afile"), (["dist"], "afile/sub")],

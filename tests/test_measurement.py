@@ -156,6 +156,14 @@ class TestSuccessiveDensity:
                 ref = oracles.successive_density_reference(state, delta)
                 assert np.array_equal(successive_density(state, delta).values, ref)
 
+    @pytest.mark.parametrize("domain", [(-16.0, 16.0), (-15.0, 17.3)])
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_row_blocks_equal_one_transform(self, rng, n, domain):
+        psi = random_state(make_grid(n, *domain), rng)
+        for delta in (0.25, 4.0):
+            ref = oracles.successive_density_whole(psi, delta)
+            assert np.array_equal(successive_density(psi, delta).values, ref)
+
     def test_vacuum_small_delta_shape(self, grid, vacuum):
         q = successive_density(vacuum, 0.25)
         ref = husimi(vacuum, 0.25)

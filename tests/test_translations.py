@@ -87,6 +87,37 @@ def test_pointer_peak_memory():
     assert peak < 128 * 2**20  # the device lattice holds 1976 x 1024 complex128, 31 MiB
 
 
+# (n, domain, g, delta_device); the whole composite of the fractional n = 1024
+# lattice at g = 0.08 would take the reference about 1 GiB.
+POINTER_CASES = [(n, domain, g, dd) for n in (256, 1024) for domain in DOMAINS
+                 for g, dd in ((1.0, 1.0), (0.5, 1.0), (0.08, 4.0))
+                 if not (n == 1024 and domain in FRACTIONAL and g == 0.08)]
+
+
+@pytest.mark.parametrize("n, domain, g, delta_device", POINTER_CASES)
+def test_pointer_rows_match_the_whole_composite(n, domain, g, delta_device):
+    """Coupling only the readout rows, in row and column blocks, gives the
+    deviation of the whole coupled composite bit for bit."""
+    psi = _state(make_grid(n, *domain))
+    spec = CouplingSpec(g=g, delta_device=delta_device)
+    assert pointer_vs_direct(psi, spec) == oracles.pointer_vs_direct_reference(psi, spec)
+
+
+@pytest.mark.parametrize("domain, g, delta_device, bound_mib", [
+    ((-16.0, 16.0), 0.08, 4.0, 48),  # the whole composite: n_d = 12920, 505 MiB
+    ((-15.0, 17.3), 0.5, 1.0, 64),  # the momentum-phase route on all columns: 123 MiB
+])
+def test_pointer_peak_memory_by_blocks(domain, g, delta_device, bound_mib):
+    psi = _state(make_grid(1024, *domain))
+    tracemalloc.start()
+    try:
+        pointer_vs_direct(psi, CouplingSpec(g=g, delta_device=delta_device))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2**20
+
+
 def test_coupling_never_uses_the_direct_route(grid, monkeypatch, rng):
     """The pointer route stays independent of the operator route it is
     compared with: coupling and readout run with that route disabled."""
