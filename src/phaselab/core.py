@@ -21,6 +21,12 @@ EDGE_DECAY = 1e-12
 
 TWO_PI = 2.0 * math.pi
 
+# Lattice rows (or columns) per block wherever an n x n array is built or read
+# block by block: the sampler's chunks, ``successive_density``, the phase-space
+# kernels and the pointer, so that a block's working arrays stay in L2 (at
+# n = 256 a block of complex amplitudes is 512 KiB).
+BLOCK = 128
+
 
 class EnvelopeError(ValueError):
     """State does not decay below EDGE_DECAY at the lattice edges."""
@@ -108,8 +114,14 @@ def check_positive(name: str, value: float) -> None:
 
 
 def check_resolved(grid: Grid, delta: float) -> None:
-    """A Gaussian of width parameter delta must span a few lattice cells."""
+    """A Gaussian of width parameter delta must span a few lattice cells, and its
+    prefactor (delta*pi)^(-1/2) must not underflow to 0."""
     check_positive("delta", delta)
+    if delta * math.pi == math.inf:
+        raise ResolutionError(
+            f"delta = {delta:g} too large: delta*pi overflows, so the Gaussian "
+            "prefactor (delta*pi)^(-1/2) is 0"
+        )
     # products, not dx**2: a float power raises OverflowError where a product gives inf
     need = 4.0 * grid.dx * grid.dx
     if delta < need:

@@ -26,6 +26,11 @@ Python's own formatter instead when any of these decisions falls within 1e-9
 which covers exact ties; when it is not finite; and, for repr, when its
 mantissa is a power of two, whose gap below is half the gap above.
 
+A distribution JSON document's ``values`` table is read back from the file's
+bytes by ``np.fromstring``, row by row into one float64 array, without a
+Python float per cell, wherever ``_values_table`` shows that ``json.loads``
+would read the same floats; any other document goes through ``json.loads``.
+
 Layouts:
 
 - State JSON: ``{basis, dx, n, x_min}`` plus either ``amp``, the interleaved
@@ -67,6 +72,9 @@ _SPACING_RTOL = 1e-6
 
 # Bytes per encoded float: the longest text is '-2.2250738585072014e-308'.
 _FIELD = 24
+
+# What opens the table of a distribution JSON document, as the writer lays it out.
+_VALUES_KEY = b'"values": '
 
 # Decisions this close to their boundary (in units of the 17th digit; relative
 # to the half-gap for the round-trip test) go to Python's formatter.  The
@@ -499,9 +507,128 @@ def _distribution_from_table(table: np.ndarray, path) -> PhaseSpaceGrid:
     return PhaseSpaceGrid(x=x, p=p, kind=DistributionKind.HISTOGRAM, values=values)
 
 
+def _is_digit(a: np.ndarray) -> np.ndarray:
+    return a - np.uint8(48) < 10
+
+
+def _opens_number(u: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Whether the bytes ``u`` at each offset in ``at`` open a JSON number: an
+    optional '-', then a digit, and no '0' followed by a digit."""
+    a, b, c = u[at], u[at + 1], u[at + 2]
+    return ((a - np.uint8(49) < 9) | (a == ord("0")) & ~_is_digit(b)
+            | (a == ord("-")) & ((b - np.uint8(49) < 9) | (b == ord("0")) & ~_is_digit(c)))
+
+
+def _values_table(data: bytes, lo: int, hi: int):
+    """The 2-D float64 table of JSON text data[lo:hi], laid out as the writer
+    lays it out (``[[v, v], [v, v]]``), read row by row with ``np.fromstring``;
+    None unless ``json.loads`` would read the same floats from it.
+
+    ``np.fromstring`` reads a JSON number as ``float`` does, but it also takes
+    ``+1``, ``.5``, ``1.``, ``1.e5``, ``01``, ``nan``, ``inf`` and an empty or
+    trailing cell, and an integer such as ``-0`` is a Python int to
+    ``json.loads``.  So the bytes are checked first, in a few vectorised
+    passes per chunk: each ',' has a digit before it and one space after it,
+    or else stands in a row separator '], [' with a digit before it; each cell
+    opens as ``_opens_number`` requires; no '.' precedes an 'e'; there is no
+    'E' and no NUL.  Any other stray byte stops ``np.fromstring``.  Then every
+    row must hold as many values as the commas call for, and a value that a
+    JSON integer would give differently (-0.0, or a magnitude of 2**63 or
+    more) must come from a cell with a '.' or an 'e'.
+    """
+    # the check of the cell after a comma reads up to two bytes past the table
+    if not (data.startswith(b"[[", lo) and len(data) >= hi + 2
+            and data.find(b"\0", lo, hi) < 0 and data.find(b"E", lo, hi) < 0):
+        return None
+    u = np.frombuffer(data, np.uint8)
+    if not (_opens_number(u, np.array([lo + 2])).all() and _is_digit(u[hi - 3 : hi - 2]).all()):
+        return None
+    row_seps, commas_seen = [np.empty(0, np.intp)], 0
+    step = CHUNK_ROWS * _FIELD
+    for at in range(lo + 2, hi - 2, step):
+        end = min(at + step, hi - 2)
+        commas = np.flatnonzero(u[at:end] == ord(",")) + at
+        ok = (u[commas + 1] == ord(" ")) & _is_digit(u[commas - 1]) & _opens_number(u, commas + 2)
+        seps = commas[~ok]  # the rest must each be the ',' of '], ['
+        ok = ((u[seps - 1] == ord("]")) & (u[seps + 1] == ord(" ")) & (u[seps + 2] == ord("["))
+              & _is_digit(u[seps - 2]) & _opens_number(u, seps + 3)).all()
+        for shift in (0, 1):  # '.e' as a little-endian pair, at even then odd offsets
+            pairs = np.frombuffer(data, "<u2", count=(end - at + 1) // 2, offset=at + shift)
+            ok = ok and not (pairs == 0x652E).any()
+        if not ok:
+            return None
+        row_seps.append(seps)
+        commas_seen += commas.size
+    row_seps = np.concatenate(row_seps)
+    starts = [lo + 2, *(row_seps + 3).tolist()]
+    stops = [*(row_seps - 1).tolist(), hi - 2]
+    try:
+        rows = (np.fromstring(data[a:b], sep=",") for a, b in zip(starts, stops))
+        first = next(rows)
+        table = np.empty((len(starts), first.size))
+        table[0] = first
+        for i, row in enumerate(rows, 1):
+            if row.size != first.size:
+                return None
+            table[i] = row
+    except ValueError:  # a byte that no JSON number holds
+        return None
+    if table.size != commas_seen + 1:
+        return None
+    doubtful = ((table >= 2.0**63) | (table <= -(2.0**63))
+                | (table.view(np.int64) == np.iinfo(np.int64).min))  # -0.0
+    for i, j in zip(*np.nonzero(doubtful)):
+        text = data[starts[i] : stops[i]].split(b",")[j]
+        if b"." not in text and b"e" not in text:
+            return None
+    return table
+
+
+def _without_repeats(pairs):
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        raise ValueError("repeated key")
+    return doc
+
+
+def _distribution_doc(path: Path):
+    """The decoded distribution JSON document with its ``values`` table read by
+    ``_values_table``, or None where this route cannot show that ``json.loads``
+    gives the same document.
+
+    The table is cut out of the bytes and ``null`` put in its place.  That
+    header must decode with no repeated key; and the text before the table,
+    closed by ``"values": null}``, must decode to an object whose last key is
+    "values", so the table is the top-level "values" field, not one in a
+    nested object or inside a string."""
+    data = path.read_bytes()
+    at = data.find(_VALUES_KEY + b"[[")
+    hi = data.rfind(b"]]") + 2
+    if data.startswith(b"x,") or at < 0 or hi < at:
+        return None
+    values = _values_table(data, at + len(_VALUES_KEY), hi)
+    head, tail = data[:at], data[hi:]
+    if values is None or not (head + tail).isascii():
+        return None
+    head, tail = head.decode() + '"values": null', tail.decode()
+    try:
+        pairs = json.loads(head + "}", object_pairs_hook=list)
+        doc = json.loads(head + tail, object_pairs_hook=_without_repeats)
+    except ValueError:
+        return None
+    if not (isinstance(doc, dict) and pairs[-1:] == [("values", None)]):
+        return None
+    doc["values"] = values
+    return doc
+
+
 def load_distribution(path) -> PhaseSpaceGrid:
+    """A distribution file; a JSON document's ``values`` table is read without
+    ``json.loads`` where ``_distribution_doc`` can, with the same result."""
     path = Path(path)
-    doc = _read_table_or_doc(path, "x,p,value")
+    doc = None if path.suffix == ".csv" else _distribution_doc(path)
+    if doc is None:
+        doc = _read_table_or_doc(path, "x,p,value")
     if isinstance(doc, np.ndarray):
         return _distribution_from_table(doc, path)
     try:
@@ -511,13 +638,17 @@ def load_distribution(path) -> PhaseSpaceGrid:
         kind = DistributionKind(doc["kind"])
     except (KeyError, IndexError, TypeError) as exc:
         raise ValueError(f"{path}: distribution header lacks or mistypes field {exc}") from None
-    return PhaseSpaceGrid(
-        x=x,
-        p=p,
-        kind=kind,
-        values=np.asarray(doc["values"]),
-        delta=doc.get("delta"),
-    )
+    try:
+        values = np.asarray(doc["values"])
+        if values.dtype.kind not in "fiu":  # not a string, null or bool
+            raise ValueError(f"got cells of type {values.dtype}")
+    except ValueError as exc:
+        raise ValueError(f"{path}: values must be rows of numbers of one length: {exc}") from None
+    values = values.astype(np.float64, copy=False)
+    if values.shape != (n, p.size):
+        raise ValueError(f"{path}: values shape {values.shape} does not match n = {n} "
+                         f"rows of {p.size}")
+    return PhaseSpaceGrid(x=x, p=p, kind=kind, values=values, delta=doc.get("delta"))
 
 
 def save_characteristic(cg: CharacteristicGrid, path) -> None:

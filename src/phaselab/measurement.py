@@ -27,6 +27,7 @@ from numbers import Integral
 import numpy as np
 
 from .core import (
+    BLOCK,
     TWO_PI,
     Basis,
     Grid,
@@ -44,11 +45,6 @@ from .phasespace import DistributionKind, PhaseSpaceGrid
 # Shots per sampling chunk.  Fixed so that the random substream layout (one
 # Philox stream per chunk) is independent of the worker count.
 CHUNK = 4096
-
-# Outcome rows per block of a sampling chunk or of ``successive_density``, so
-# that a block's window, amplitudes and momentum density stay in L2 (at n = 256
-# a block's amplitudes are 512 KiB).
-BLOCK = 128
 
 MIN_COLLAPSE_NORM = 1e-12
 # Redraw rounds for outcomes whose collapse norm is at or below MIN_COLLAPSE_NORM.

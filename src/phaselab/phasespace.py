@@ -3,6 +3,11 @@
 Computes the s-parameterized characteristic function, the Wigner function,
 the Husimi function (two independent routes), marginals, trace-product
 expectations and Husimi-moment expectations with ordering corrections.
+
+``characteristic``, ``wigner`` and ``husimi`` fill their n x n output in
+blocks of BLOCK rows.  Each row gets the transform it would get in one
+whole-array call, so the values are the same bits, and the working arrays
+are a few BLOCK x n blocks instead of several n x n ones.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
+    BLOCK,
     TWO_PI,
     Grid,
     Observable,
@@ -111,18 +117,27 @@ def characteristic(psi: WaveFunction, s: float) -> CharacteristicGrid:
         raise ValueError(f"s must lie in [-1, 1], got {s}")
     pos = as_position(psi)
     g = pos.grid
+    n = g.n
     m0, frac = split_cells(g.x_min / g.dx)
     v = g.x - frac * g.dx  # v_m = (m0 + m)*dx
-    o = (-m0) % g.n  # row m is window o + n - m: psi rolled by m0 + m cells
-    shifted = sliding_window_view(np.tile(pos.amp, 3), g.n)[o + g.n : o : -1]
-    overlap = fourier_sum(np.conj(pos.amp) * shifted, g.x, g.p, g.dx, sign=-1, axis=-1)  # (v, u)
-    roots = np.exp((1j * math.pi / g.n) * np.arange(2 * g.n))
-    overlap *= roots[np.multiply.outer(np.arange(g.n), np.arange(g.n) - g.n // 2) % (2 * g.n)]
-    overlap *= np.exp(0.5j * v[0] * g.p)
-    with np.errstate(over="ignore", invalid="ignore"):  # s > 0: the CLI fails non-finite output
-        overlap *= np.exp(0.25 * s * v**2)[:, None]  # the s-Gaussian, v then u
-        overlap *= np.exp(0.25 * s * g.p**2)
-    return CharacteristicGrid(u=g.p, v=v, s=float(s), values=overlap.T)
+    o = (-m0) % n  # row m is window o + n - m: psi rolled by m0 + m cells
+    shifted = sliding_window_view(np.tile(pos.amp, 3), n)[o + n : o : -1]
+    conj = np.conj(pos.amp)
+    roots = np.exp((1j * math.pi / n) * np.arange(2 * n))
+    chirp = np.exp(0.5j * v[0] * g.p)
+    with np.errstate(over="ignore"):  # s > 0: the CLI fails non-finite output
+        gauss_v, gauss_u = np.exp(0.25 * s * v**2), np.exp(0.25 * s * g.p**2)
+    values = np.empty((n, n), np.complex128)  # (v, u)
+    for lo in range(0, n, BLOCK):
+        rows = slice(lo, lo + BLOCK)
+        overlap = fourier_sum(conj * shifted[rows], g.x, g.p, g.dx, sign=-1, axis=-1)
+        overlap *= roots[np.multiply.outer(np.arange(n)[rows], np.arange(n) - n // 2) % (2 * n)]
+        overlap *= chirp
+        with np.errstate(over="ignore", invalid="ignore"):
+            overlap *= gauss_v[rows, None]  # the s-Gaussian, v then u
+            overlap *= gauss_u
+        values[rows] = overlap
+    return CharacteristicGrid(u=g.p, v=v, s=float(s), values=values.T)
 
 
 def wigner(psi: WaveFunction) -> PhaseSpaceGrid:
@@ -150,13 +165,20 @@ def wigner(psi: WaveFunction) -> PhaseSpaceGrid:
     # row k, column m + n for m in [-n, n): psi*(x_k + m*dx/2) and psi(x_k - m*dx/2)
     ahead = sliding_window_view(np.conj(half), 2 * n)[0 : 2 * n : 2]
     behind = sliding_window_view(half, 2 * n)[1 : 2 * n : 2, ::-1]
-    corr = behind[:, n:] * ahead[:, n:]  # column r: lag m = r
-    corr += behind[:, :n] * ahead[:, :n]  # and lag m = r - n
-    w = fourier_sum(corr, dx * np.arange(n), g.p, dx / TWO_PI, sign=+1, axis=-1)
-    resid = float(np.max(np.abs(w.imag)))
+    lags = dx * np.arange(n)
+    w = np.empty((n, n))
+    resid = []  # each block's largest imaginary residue
+    for lo in range(0, n, BLOCK):
+        rows = slice(lo, lo + BLOCK)
+        corr = behind[rows, n:] * ahead[rows, n:]  # column r: lag m = r
+        corr += behind[rows, :n] * ahead[rows, :n]  # and lag m = r - n
+        block = fourier_sum(corr, lags, g.p, dx / TWO_PI, sign=+1, axis=-1)
+        resid.append(np.max(np.abs(block.imag)))
+        w[rows] = block.real
+    resid = float(np.max(resid))
     if resid > 1e-10:
         raise ArithmeticError(f"Wigner imaginary residue {resid:g} exceeds 1e-10")
-    return PhaseSpaceGrid(x=g.x, p=g.p, kind=DistributionKind.WIGNER, values=w.real)
+    return PhaseSpaceGrid(x=g.x, p=g.p, kind=DistributionKind.WIGNER, values=w)
 
 
 def husimi(psi: WaveFunction, delta: float = 1.0) -> PhaseSpaceGrid:
@@ -169,9 +191,13 @@ def husimi(psi: WaveFunction, delta: float = 1.0) -> PhaseSpaceGrid:
     pos = as_position(psi)
     g = pos.grid
     check_resolved(g, delta)
-    rows = gaussian_window(g.x, g.x[:, None], delta) * pos.amp[None, :]
-    overlap = fourier_sum(rows, g.x, g.p, g.dx, sign=-1, axis=-1)
-    q = (1.0 / TWO_PI) / math.sqrt(delta * math.pi) * np.abs(overlap) ** 2
+    scale = (1.0 / TWO_PI) / math.sqrt(delta * math.pi)
+    q = np.empty((g.n, g.n))
+    for lo in range(0, g.n, BLOCK):
+        rows = slice(lo, lo + BLOCK)
+        amps = gaussian_window(g.x, g.x[rows, None], delta) * pos.amp[None, :]
+        overlap = fourier_sum(amps, g.x, g.p, g.dx, sign=-1, axis=-1)
+        q[rows] = scale * np.abs(overlap) ** 2
     return PhaseSpaceGrid(x=g.x, p=g.p, kind=DistributionKind.HUSIMI, values=q, delta=float(delta))
 
 

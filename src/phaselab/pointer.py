@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    BLOCK,
     EDGE_DECAY,
     TWO_PI,
     EnvelopeError,
@@ -37,7 +38,7 @@ from .core import (
     gaussian_window,
     split_cells,
 )
-from .measurement import BLOCK, successive_density
+from .measurement import successive_density
 from .phasespace import DistributionKind, PhaseSpaceGrid
 
 # Most device x system cells that one block of a default device lattice holds,
@@ -116,12 +117,18 @@ def device_grid_for(system_grid: Grid, spec: CouplingSpec) -> Grid:
     before the coupling and on g*x after it, has fallen to EDGE_DECAY."""
     dx_d = spec.g * system_grid.dx
     reach = math.sqrt(2.0 * spec.delta_device * math.log(1.0 / EDGE_DECAY))
-    left = math.ceil((reach + max(0.0, spec.g * system_grid.x_min)) / dx_d)
-    right = math.ceil((reach + max(0.0, -spec.g * system_grid.x[-1])) / dx_d)
+    # cell counts as floats first: a tiny g takes them to inf (dx_d to 0), which
+    # the cap refuses before math.ceil would fail on it
+    left, right = ((reach + max(0.0, edge)) / dx_d if dx_d else math.inf
+                   for edge in (spec.g * system_grid.x_min, -spec.g * system_grid.x[-1]))
     n_d = left + system_grid.n + right
     width = min(system_grid.n, BLOCK)
+    if n_d * width <= MAX_DEVICE_CELLS:
+        left, right = math.ceil(left), math.ceil(right)
+        n_d = left + system_grid.n + right
     if n_d * width > MAX_DEVICE_CELLS:
-        raise ValueError(f"device lattice {n_d} x {width} exceeds {MAX_DEVICE_CELLS} cells")
+        raise ValueError(f"g = {spec.g} needs a device lattice of {n_d:.4g} x {width} cells, "
+                         f"which exceeds {MAX_DEVICE_CELLS} (2**26) cells")
     return Grid(n=n_d, x_min=spec.g * (system_grid.x_min - left * system_grid.dx), dx=dx_d)
 
 

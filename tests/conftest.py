@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,16 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from phaselab import coherent_state, fock_state, make_grid, normalize
 from phaselab.core import Basis, WaveFunction
+
+
+def traced_peak(call) -> int:
+    """The peak bytes that tracemalloc sees allocated while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

@@ -304,3 +304,76 @@ def characteristic_reference(psi, s, v=None):
     overlap = fourier_sum(np.conj(pos.amp)[None, :] * shifted, g.x, u, g.dx, sign=-1, axis=-1)
     values = overlap.T * np.exp(0.5j * np.outer(u, v))
     return values * np.exp(0.25 * s * (u[:, None] ** 2 + v[None, :] ** 2))
+
+
+def husimi_whole(psi, delta):
+    """Husimi values with every x row in one transform, as computed before the
+    row blocks."""
+    from phaselab.core import as_position, fourier_sum, gaussian_window
+
+    pos = as_position(psi)
+    g = pos.grid
+    rows = gaussian_window(g.x, g.x[:, None], delta) * pos.amp[None, :]
+    overlap = fourier_sum(rows, g.x, g.p, g.dx, sign=-1, axis=-1)
+    return (1.0 / (2.0 * np.pi)) / np.sqrt(delta * np.pi) * np.abs(overlap) ** 2
+
+
+def wigner_whole(psi):
+    """Wigner values (and imaginary residue) from the whole folded n x n
+    correlation in one transform, as computed before the row blocks."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    from phaselab.core import as_momentum, as_position, fourier_sum
+
+    pos = as_position(psi)
+    g = pos.grid
+    n, dx = g.n, g.dx
+    phi = np.zeros(2 * n, dtype=np.complex128)
+    phi[n // 2 : n // 2 + n] = as_momentum(pos).amp
+    xf = g.x_min + (dx / 2.0) * np.arange(2 * n)
+    half = np.zeros(4 * n, dtype=np.complex128)
+    half[n : 3 * n] = fourier_sum(phi, g.dp * np.arange(-n, n), xf, g.dp / np.sqrt(2.0 * np.pi),
+                                  sign=+1)
+    ahead = sliding_window_view(np.conj(half), 2 * n)[0 : 2 * n : 2]
+    behind = sliding_window_view(half, 2 * n)[1 : 2 * n : 2, ::-1]
+    corr = behind[:, n:] * ahead[:, n:]
+    corr += behind[:, :n] * ahead[:, :n]
+    w = fourier_sum(corr, dx * np.arange(n), g.p, dx / (2.0 * np.pi), sign=+1, axis=-1)
+    return w.real, float(np.max(np.abs(w.imag)))
+
+
+def characteristic_whole(psi, s):
+    """w(u, v, s) values from the whole n x n window of shifted rows, chirp
+    index table and s-Gaussian at once, as computed before the row blocks."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    from phaselab.core import as_position, fourier_sum, split_cells
+
+    pos = as_position(psi)
+    g = pos.grid
+    m0, frac = split_cells(g.x_min / g.dx)
+    v = g.x - frac * g.dx
+    o = (-m0) % g.n
+    shifted = sliding_window_view(np.tile(pos.amp, 3), g.n)[o + g.n : o : -1]
+    overlap = fourier_sum(np.conj(pos.amp) * shifted, g.x, g.p, g.dx, sign=-1, axis=-1)
+    roots = np.exp((1j * np.pi / g.n) * np.arange(2 * g.n))
+    overlap *= roots[np.multiply.outer(np.arange(g.n), np.arange(g.n) - g.n // 2) % (2 * g.n)]
+    overlap *= np.exp(0.5j * v[0] * g.p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        overlap *= np.exp(0.25 * s * v**2)[:, None]
+        overlap *= np.exp(0.25 * s * g.p**2)
+    return overlap.T
+
+
+def load_distribution_json_reference(path):
+    """A distribution JSON file as read before the ``np.fromstring`` route:
+    ``json.loads`` of the whole text, then ``np.asarray`` of the values lists."""
+    from pathlib import Path
+
+    from phaselab.phasespace import DistributionKind, PhaseSpaceGrid
+
+    doc = json.loads(Path(path).read_text())
+    x = doc["x_min"] + doc["dx"] * np.arange(int(doc["n"]))
+    p = doc["p_min"] + doc["dp"] * np.arange(len(doc["values"][0]))
+    return PhaseSpaceGrid(x=x, p=p, kind=DistributionKind(doc["kind"]),
+                          values=np.asarray(doc["values"]), delta=doc.get("delta"))

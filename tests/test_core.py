@@ -243,3 +243,14 @@ def test_resolution_check_on_a_huge_spacing():
     # 4*dx**2 overflows: the check still ends in a ResolutionError naming delta and dx
     with pytest.raises(ResolutionError, match=r"delta = 1 under-resolved on spacing dx = 1e\+299"):
         check_resolved(Grid(n=256, x_min=-1.6e301, dx=1e299), 1.0)
+
+
+@pytest.mark.parametrize("delta", [1e308, 6e307])
+def test_resolution_check_refuses_a_vanishing_prefactor(grid, delta):
+    # delta*pi overflows, so (delta*pi)^(-1/2) = 0 and every Husimi value would be 0
+    with pytest.raises(ResolutionError, match=r"delta = .* too large: delta\*pi overflows"):
+        check_resolved(grid, delta)
+
+
+def test_resolution_check_keeps_a_huge_finite_prefactor(grid):
+    check_resolved(grid, 5e307)  # delta*pi = 1.6e308 is finite

@@ -1,11 +1,11 @@
 import json
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from phaselab import cli, coherent_state, fock_state, husimi, make_grid, measurement, wigner
 from phaselab.cli import RunConfig, main
 from phaselab.core import Basis, Grid, WaveFunction, as_momentum
@@ -160,13 +160,8 @@ class TestDistributionIO:
         g = Grid(n=n, x_min=-16.0, dx=32.0 / n)
         dist = PhaseSpaceGrid(x=g.x, p=g.p, kind=DistributionKind.WIGNER,
                               values=np.random.default_rng(5).normal(size=(n, n)))
-        tracemalloc.start()
-        try:
-            save_distribution(dist, tmp_path / "w.json", fmt="json")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20
+        path = tmp_path / "w.json"
+        assert traced_peak(lambda: save_distribution(dist, path, fmt="json")) < 16 * 2**20
 
     def test_csv_and_characteristic_peak_memory_is_bounded(self, tmp_path):
         n = 1024
@@ -178,13 +173,7 @@ class TestDistributionIO:
                                 values=rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
         for save in (lambda: save_distribution(dist, tmp_path / "q.csv", fmt="csv"),
                      lambda: save_characteristic(cg, tmp_path / "c.json")):
-            tracemalloc.start()
-            try:
-                save()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 8 * 2**20
+            assert traced_peak(save) < 8 * 2**20
 
     @pytest.mark.parametrize("body", [
         "1,2\n",
@@ -454,7 +443,17 @@ class TestBadInput:
         (["state", "--state", "coherent 40 0 1"], "error [core]: coherent state centre (40, 0) "),
         (["state", "--state", "coherent 0 30 1"], "error [core]: coherent state centre (0, 30) "),
         (["state", "--state", "cat 1e300"], "error [core]: coherent state centre (-1e+300, 0) "),
-    ], ids=["huge-g", "centre-right-of-lattice", "centre-above-momenta", "huge-cat"])
+        (["pointer", "--g", "1e-300"],
+         "error [phaselab]: g = 1e-300 needs a device lattice of 1.189e+302 x 128 cells, "
+         "which exceeds 67108864 (2**26) cells\n"),
+        (["pointer", "--g", "1e-320"], "error [phaselab]: g = 1e-320 needs a device lattice of inf "),
+        (["pointer", "--g", "5e-324"], "error [phaselab]: g = 5e-324 needs a device lattice of inf "),
+        (["dist", "--which", "husimi", "--delta", "1e308"],
+         "error [phasespace]: delta = 1e+308 too large: delta*pi overflows"),
+        (["sample", "--delta", "1e308", "--shots", "100"],
+         "error [measurement]: delta = 1e+308 too large: delta*pi overflows"),
+    ], ids=["huge-g", "centre-right-of-lattice", "centre-above-momenta", "huge-cat", "tiny-g-1e-300",
+            "subnormal-g", "g-spacing-underflows", "dist-huge-delta", "sample-huge-delta"])
     def test_out_of_range_number_one_line_error(self, tmp_path, capsys, argv, line):
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == 1

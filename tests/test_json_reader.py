@@ -1,0 +1,242 @@
+"""The distribution JSON reader.  Its ``values`` table is read from the file's
+bytes with ``np.fromstring`` where that route can show that ``json.loads``
+gives the same document, and through ``json.loads`` otherwise: it accepts
+exactly what ``json.loads`` accepts, and returns the same bits."""
+
+import json
+import random
+
+import numpy as np
+import pytest
+
+import oracles
+from conftest import traced_peak
+from phaselab import coherent_state, make_grid, superpose, wigner
+from phaselab import io as plio
+from phaselab.phasespace import DistributionKind, PhaseSpaceGrid
+
+HEADER = {"delta": None, "dp": 0.5, "dx": 0.25, "kind": "wigner", "p_min": -1.0, "x_min": -0.5}
+TABLE = np.array([[0.5, -1.25, 3.0], [1e-05, 2.5, -0.0]])
+# save_json's layout of HEADER with TABLE
+TEXT = ('{"delta": null, "dp": 0.5, "dx": 0.25, "kind": "wigner", "n": 2, "p_min": -1.0, '
+        '"values": [[0.5, -1.25, 3.0], [1e-05, 2.5, -0.0]], "x_min": -0.5}\n')
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _write_table(path, table):
+    plio.save_json({**HEADER, "n": table.shape[0]}, path, values=table)
+    return path
+
+
+def _fast_route_agrees(path):
+    """Whether the np.fromstring route took ``path``; where it did, its document
+    is the one json.loads decodes, header and bits of every value."""
+    fast = plio._distribution_doc(path)
+    if fast is None:
+        return False
+    doc = json.loads(path.read_text())
+    values = np.asarray(np.asarray(doc.pop("values")), dtype=np.float64)
+    got = fast.pop("values")
+    assert fast == doc
+    assert got.shape == values.shape and np.array_equal(_bits(got), _bits(values))
+    return True
+
+
+def _outcome(load, path):
+    """(grid fields, None) of a load, or (None, (exception type, message))."""
+    try:
+        d = load(path)
+    except Exception as exc:  # noqa: BLE001 - the exception itself is compared
+        return None, (type(exc), str(exc))
+    return (d.x.tobytes(), d.p.tobytes(), d.kind, d.delta, d.values.shape, d.values.tobytes()), None
+
+
+def test_writer_layout_takes_the_fast_route(tmp_path):
+    path = _write_table(tmp_path / "d.json", TABLE)
+    assert path.read_text() == TEXT
+    assert _fast_route_agrees(path)
+
+
+def test_wigner_n1024_takes_the_fast_route_with_the_same_bits(tmp_path):
+    grid = make_grid(1024, -16.0, 16.0)
+    psi = superpose(1.0, coherent_state(grid, -2.0, 0.0), 1.0, coherent_state(grid, 2.0, 0.5))
+    dist = wigner(psi)
+    path = tmp_path / "wigner.json"
+    plio.save_distribution(dist, path, fmt="json")
+    assert _fast_route_agrees(path)
+    back = plio.load_distribution(path)
+    assert np.array_equal(_bits(back.values), _bits(dist.values))
+    assert _outcome(plio.load_distribution, path) == _outcome(oracles.load_distribution_json_reference,
+                                                             path)
+
+
+def test_reload_peak_memory(tmp_path):
+    # json.loads held the text and a million Python floats: 56.5 MiB at n = 1024
+    n = 1024
+    grid = make_grid(n, -16.0, 16.0)
+    dist = PhaseSpaceGrid(x=grid.x, p=grid.p, kind=DistributionKind.WIGNER,
+                          values=np.random.default_rng(3).normal(size=(n, n)))
+    path = tmp_path / "w.json"
+    plio.save_distribution(dist, path, fmt="json")
+    assert traced_peak(lambda: plio.load_distribution(path)) < 40 * 2**20
+
+
+SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+           1.7976931348623157e308, -1.7976931348623157e308, 2.0**63, -(2.0**63), 2.0**63 - 1024.0,
+           9007199254740993.0, 1e16, 1e22, 1e23, 0.1, 1e-05, 123456.789, -0.0001]
+
+
+def test_random_bit_patterns_round_trip(tmp_path):
+    bits = np.random.default_rng(12).integers(0, 2**64, size=(24, 48), dtype=np.uint64)
+    table = bits.view(np.float64).copy()
+    table[~np.isfinite(table)] = 1.5
+    table.flat[: len(SPECIAL)] = SPECIAL
+    path = _write_table(tmp_path / "r.json", table)
+    assert _fast_route_agrees(path)
+    assert np.array_equal(_bits(plio.load_distribution(path).values), _bits(table))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (1, 3000), (7, 1), (3000, 1), (3, 5)])
+def test_single_row_and_single_column_tables(tmp_path, shape):
+    rng = np.random.default_rng(4)
+    table = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    table.flat[0] = -0.0
+    path = _write_table(tmp_path / "t.json", table)
+    assert _fast_route_agrees(path)
+    assert np.array_equal(_bits(plio.load_distribution(path).values), _bits(table))
+
+
+def _variants():
+    doc = json.loads(TEXT)
+    yield "pretty-printed", json.dumps(doc, indent=2)
+    yield "keys-reordered", json.dumps(dict(reversed(list(doc.items()))))
+    yield "trailing-comma", TEXT.replace("3.0]", "3.0,]")
+    for token in ("1.", ".5", "+1", "01", "nan", "inf"):
+        yield f"token {token}", TEXT.replace("3.0", token)
+
+
+@pytest.mark.parametrize("name, text", list(_variants()), ids=[name for name, _ in _variants()])
+def test_documents_read_as_before(tmp_path, name, text):
+    """The same grid as the json.loads reader before, or the same exception
+    type and message."""
+    path = tmp_path / "d.json"
+    path.write_text(text)
+    _fast_route_agrees(path)
+    assert _outcome(plio.load_distribution, path) == _outcome(oracles.load_distribution_json_reference,
+                                                             path)
+
+
+# Cells and layouts that np.fromstring reads but JSON does not, or reads as a
+# different number, and documents where the bytes '"values": [[' are not the
+# top-level table.
+EDGES = {
+    "integer": TEXT.replace("3.0", "3"),
+    "negative-zero-integer": TEXT.replace("3.0", "-0"),
+    "huge-integer": TEXT.replace("3.0", "123456789012345678901234567890"),
+    "overflow": TEXT.replace("3.0", "1e999"),
+    "underflow-negative": TEXT.replace("3.0", "-1e-400"),
+    "exponent-only": TEXT.replace("3.0", "3e0"),
+    "leading-zero-exponent": TEXT.replace("3.0", "3e+007"),
+    "upper-exponent": TEXT.replace("3.0", "3E0"),
+    "dot-exponent": TEXT.replace("3.0", "3.e0"),
+    "negative-dot": TEXT.replace("3.0", "-.5"),
+    "plus-dot": TEXT.replace("3.0", "+.5"),
+    "negative-leading-zero": TEXT.replace("3.0", "-03.0"),
+    "double-zero": TEXT.replace("3.0", "00"),
+    "zero": TEXT.replace("3.0", "0"),
+    "hex": TEXT.replace("3.0", "0x10"),
+    "infinity": TEXT.replace("3.0", "Infinity"),
+    "NaN": TEXT.replace("3.0", "NaN"),
+    "empty-cell": TEXT.replace("3.0", ""),
+    "blank-cell": TEXT.replace("3.0", " "),
+    "two-spaces": TEXT.replace(", 3.0", ",  3.0"),
+    "no-space": TEXT.replace(", 3.0", ",3.0"),
+    "space-before-comma": TEXT.replace("-1.25,", "-1.25 ,"),
+    "tab-before-comma": TEXT.replace("-1.25,", "-1.25\t,"),
+    "vertical-tab-before-comma": TEXT.replace("-1.25,", "-1.25\v,"),
+    "nul-in-cell": TEXT.replace("2.5", "2.5\x007"),
+    "nul-after-cell": TEXT.replace("2.5", "2.5\x00"),
+    "newline-between-rows": TEXT.replace("], [", "],\n["),
+    "space-inside-row": TEXT.replace("[0.5", "[ 0.5"),
+    "first-cell-plus": TEXT.replace("[[0.5", "[[+0.5"),
+    "first-cell-dot": TEXT.replace("[[0.5", "[[.5"),
+    "last-cell-dot": TEXT.replace("-0.0]]", "-0.]]"),
+    "last-cell-space": TEXT.replace("-0.0]]", "-0.0 ]]"),
+    "row-end-dot": TEXT.replace("3.0]", "3.]"),
+    "row-start-zero": TEXT.replace("[1e-05", "[01e-05"),
+    "row-separator-without-space": TEXT.replace("], [", "],["),
+    "empty-row": TEXT.replace("[1e-05, 2.5, -0.0]", "[]"),
+    "nested-row": TEXT.replace("[1e-05, 2.5, -0.0]", "[[1e-05, 2.5, -0.0]]"),
+    "ragged": TEXT.replace(", -0.0]", "]"),
+    "string-cell": TEXT.replace("3.0", '"3.0"'),
+    "word-cell": TEXT.replace("3.0", '"a"'),
+    "null-cell": TEXT.replace("3.0", "null"),
+    "n-disagrees": TEXT.replace('"n": 2', '"n": 3'),
+    "repeated-values": TEXT.replace('"x_min"', '"values": null, "x_min"'),
+    "repeated-values-after": TEXT.replace('"dp"', '"values": [[9.5, 9.5, 9.5]], "dp"'),
+    "nested-values": TEXT.replace('"delta": null', '"delta": null, "meta": {"values": [[9.5]]}'),
+    "escaped-key": TEXT.replace('"dp"', '"x\\"values": [[9.5]], "dp"'),
+    "values-in-string": TEXT.replace('"wigner"', '"wigner\\"values\\": [[9.5]]"'),
+    "escaped-values-key": TEXT.replace('"values"', '"\\u0076alues"'),
+    "byte-order-mark": "﻿" + TEXT,
+    "non-ascii-header": TEXT.replace('"x_min"', '"é": 1, "x_min"'),
+    "truncated": TEXT[:-3],
+    "trailing-data": TEXT + "[]",
+    "array-document": "[" + TEXT.strip() + "]",
+}
+
+
+@pytest.mark.parametrize("name", EDGES)
+def test_edge_documents_read_as_json_loads_reads_them(tmp_path, name, monkeypatch):
+    """The np.fromstring route declines any document that it would read
+    differently, so load_distribution gives the outcome of the json.loads
+    route: the same grid, or the same exception and message."""
+    path = tmp_path / "d.json"
+    path.write_bytes(EDGES[name].encode())
+    _fast_route_agrees(path)
+    got = _outcome(plio.load_distribution, path)
+    monkeypatch.setattr(plio, "_distribution_doc", lambda path: None)
+    assert got == _outcome(plio.load_distribution, path)
+
+
+@pytest.mark.parametrize("name, message", [
+    ("ragged", "values must be rows of numbers of one length"),
+    ("word-cell", "values must be rows of numbers of one length"),
+    ("string-cell", "values must be rows of numbers of one length"),
+    ("null-cell", "values must be rows of numbers of one length"),
+    ("n-disagrees", r"values shape \(2, 3\) does not match n = 3 rows of 3"),
+])
+def test_bad_tables_name_the_file(tmp_path, name, message):
+    path = tmp_path / "bad.json"
+    path.write_text(EDGES[name])
+    with pytest.raises(ValueError, match=message) as info:
+        plio.load_distribution(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
+def test_json_numbers_take_the_fast_route(tmp_path):
+    for name in ("integer", "overflow", "underflow-negative", "exponent-only",
+                 "leading-zero-exponent", "zero"):
+        path = tmp_path / f"{name}.json"
+        path.write_text(EDGES[name])
+        assert _fast_route_agrees(path), name
+
+
+def test_edited_documents_keep_the_contract(tmp_path):
+    """Seeded random edits of a document, anywhere in it: wherever the
+    np.fromstring route takes one, it decodes as json.loads decodes it."""
+    rng = random.Random(7)
+    pieces = [*"0123456789.eE+-, []\t\n\v\0\"{}:nulNaIfty", ", ", "], [", "-0", "0.", ".e", "00", ""]
+    path = tmp_path / "d.json"
+    taken = 0
+    for _ in range(600):
+        text = TEXT
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(text))
+            text = text[:at] + rng.choice(pieces) + text[at + rng.randint(0, 2) :]
+        path.write_text(text)
+        taken += _fast_route_agrees(path)
+    assert taken > 30

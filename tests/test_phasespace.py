@@ -1,11 +1,10 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
-from conftest import random_state
+from conftest import random_state, traced_peak
 from phaselab import (
     Observable,
     characteristic,
@@ -131,13 +130,7 @@ class TestWigner:
         # matrix the peak at n = 1024 is about 160 MiB
         n = 1024
         psi = coherent_state(make_grid(n, -16.0, 16.0), 0.5, -0.5, 1.0)
-        tracemalloc.start()
-        try:
-            wigner(psi)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 6 * n * n * 16  # six n x n complex128 arrays, 96 MiB
+        assert traced_peak(lambda: wigner(psi)) < 6 * n * n * 16  # six n x n complex128 arrays, 96 MiB
 
 
 class TestHusimi:

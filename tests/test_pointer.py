@@ -1,10 +1,9 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import random_state
+from conftest import random_state, traced_peak
 from phaselab import (
     CouplingSpec,
     apply_interaction,
@@ -78,14 +77,12 @@ class TestDeviceGridFor:
         with pytest.raises(ValueError, match=f"exceeds {MAX_DEVICE_CELLS}"):
             device_grid_for(sys_grid, spec)
         vac = coherent_state(sys_grid, 0, 0, 1)
-        tracemalloc.start()
-        try:
+
+        def refused():
             with pytest.raises(ValueError, match="device lattice"):
                 pointer_vs_direct(vac, spec)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+
+        assert traced_peak(refused) < 2**20
 
     @pytest.mark.parametrize("g, delta", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan),
                                           (1.0, math.inf), (0.0, 1.0)])

@@ -1,16 +1,19 @@
 """The pointer coupling and the characteristic family as lattice translations,
-against the momentum-phase kernels they replaced (kept in oracles)."""
+against the momentum-phase kernels they replaced, and the row-blocked
+phase-space kernels against the whole-array kernels they replaced (all kept
+in oracles)."""
 
-import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
+from conftest import traced_peak
 from phaselab import (
     CouplingSpec,
     apply_interaction,
     characteristic,
+    coherent_state,
     device_grid_for,
     husimi,
     make_composite,
@@ -18,6 +21,7 @@ from phaselab import (
     normalize,
     pointer_vs_direct,
     readout_joint,
+    wigner,
 )
 from phaselab import measurement, phasespace, pointer
 from phaselab.core import Basis, WaveFunction
@@ -78,13 +82,7 @@ def test_non_commensurate_coupling_is_the_phase_kernel(grid, rng):
 
 def test_pointer_peak_memory():
     psi = _state(make_grid(1024, -16.0, 16.0))
-    tracemalloc.start()
-    try:
-        pointer_vs_direct(psi, CouplingSpec(g=0.5))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 128 * 2**20  # the device lattice holds 1976 x 1024 complex128, 31 MiB
+    assert traced_peak(lambda: pointer_vs_direct(psi, CouplingSpec(g=0.5))) < 128 * 2**20  # the device lattice holds 1976 x 1024 complex128, 31 MiB
 
 
 # (n, domain, g, delta_device); the whole composite of the fractional n = 1024
@@ -109,13 +107,8 @@ def test_pointer_rows_match_the_whole_composite(n, domain, g, delta_device):
 ])
 def test_pointer_peak_memory_by_blocks(domain, g, delta_device, bound_mib):
     psi = _state(make_grid(1024, *domain))
-    tracemalloc.start()
-    try:
-        pointer_vs_direct(psi, CouplingSpec(g=g, delta_device=delta_device))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < bound_mib * 2**20
+    spec = CouplingSpec(g=g, delta_device=delta_device)
+    assert traced_peak(lambda: pointer_vs_direct(psi, spec)) < bound_mib * 2**20
 
 
 def test_coupling_never_uses_the_direct_route(grid, monkeypatch, rng):
@@ -136,3 +129,53 @@ def test_coupling_never_uses_the_direct_route(grid, monkeypatch, rng):
     joint = readout_joint(apply_interaction(make_composite(dg, 1.0, psi), 1.0))
     margin = round((grid.x[0] - dg.x[0]) / grid.dx)
     assert np.max(np.abs(joint.values[margin : margin + grid.n] - expected)) < 1e-6
+
+
+def _same_bits(a, b):
+    """Equal shapes and equal bits, NaN and inf included."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                                      b.view(np.uint64))
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+@pytest.mark.parametrize("n", SIZES)
+class TestRowBlocksAgainstWholeArrays:
+    def test_husimi(self, n, domain):
+        psi = _state(make_grid(n, *domain))
+        assert _same_bits(husimi(psi, 2.0).values, oracles.husimi_whole(psi, 2.0))
+
+    def test_wigner(self, n, domain):
+        psi = _state(make_grid(n, *domain))
+        assert _same_bits(wigner(psi).values, oracles.wigner_whole(psi)[0])
+
+    @pytest.mark.parametrize("s", [-1.0, 0.0, 1.0])
+    def test_characteristic(self, n, domain, s):
+        psi = _state(make_grid(n, *domain))
+        got, ref = characteristic(psi, s).values, oracles.characteristic_whole(psi, s)
+        assert _same_bits(got, ref) and got.strides == ref.strides
+        # at s = 1 and n = 1024 exp((u^2 + v^2)/4) overflows at the lattice corners
+        assert np.isfinite(ref).all() == (s < 1.0 or n < 1024)
+
+
+KERNELS = {
+    "husimi": lambda psi: husimi(psi, 1.0),
+    "wigner": wigner,
+    "characteristic": lambda psi: characteristic(psi, -1.0),
+}
+
+
+# The whole-array kernels peaked at 48 MiB at n = 1024 and 192 MiB at n = 2048:
+# three n x n complex128 temporaries.  In blocks the peak is the n x n output
+# (and, for a PhaseSpaceGrid, its copy) plus a few 128 x n blocks.
+@pytest.mark.parametrize("name, n, domain, bound_mib", [
+    ("husimi", 1024, (-16.0, 16.0), 24),
+    ("wigner", 1024, (-16.0, 16.0), 24),
+    ("characteristic", 1024, (-16.0, 16.0), 28),
+    ("husimi", 2048, (-32.0, 32.0), 96),
+    ("wigner", 2048, (-32.0, 32.0), 96),
+    ("characteristic", 2048, (-32.0, 32.0), 96),
+])
+def test_kernel_peak_memory_by_row_blocks(name, n, domain, bound_mib):
+    psi = coherent_state(make_grid(n, *domain), 0.5, -0.5, 1.0)
+    assert traced_peak(lambda: KERNELS[name](psi)) < bound_mib * 2**20
