@@ -27,9 +27,11 @@ which covers exact ties; when it is not finite; and, for repr, when its
 mantissa is a power of two, whose gap below is half the gap above.
 
 A distribution JSON document's ``values`` table is read back from the file's
-bytes by ``np.fromstring``, row by row into one float64 array, without a
-Python float per cell, wherever ``_values_table`` shows that ``json.loads``
-would read the same floats; any other document goes through ``json.loads``.
+bytes one row at a time, each row decoded by ``json.loads`` into one float64
+array, so that only one row's Python floats are live at once.  The table is
+split at the writer's ``], [`` separators, and taken only where every row is a
+flat float array of one length; any other document goes through ``json.loads``
+whole.
 
 Layouts:
 
@@ -59,7 +61,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Basis, Grid, WaveFunction, check_grid_size
+from .core import Basis, Grid, WaveFunction, check_grid_size, check_positive
 from .phasespace import CharacteristicGrid, DistributionKind, PhaseSpaceGrid
 
 # Table rows (CSV lines, or JSON cells) encoded and written per chunk: bounds the
@@ -408,7 +410,10 @@ def save_json(doc: dict, path, **tables: np.ndarray) -> None:
 
 
 def load_json(path) -> dict:
-    return json.loads(Path(path).read_text())
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_wavefunction(psi: WaveFunction, path, fmt: str = "json", binary_sidecar: bool = False) -> None:
@@ -448,6 +453,13 @@ def _sidecar(path: Path, name, n: int) -> np.ndarray:
     return np.fromfile(sidecar, dtype="<f8")
 
 
+def _state(path, grid: Grid, basis: Basis, interleaved: np.ndarray) -> WaveFunction:
+    """The state on ``grid`` of the 2n interleaved (re, im) amplitudes."""
+    if not np.isfinite(interleaved).all():
+        raise ValueError(f"{path}: amplitudes must be finite")
+    return WaveFunction(grid, basis, _complex(interleaved[0::2], interleaved[1::2]))
+
+
 def _state_from_table(table: np.ndarray, path) -> WaveFunction:
     xs = table[:, 0]
     check_grid_size(xs.size)
@@ -455,7 +467,7 @@ def _state_from_table(table: np.ndarray, path) -> WaveFunction:
     if not (dx > 0.0 and np.all(np.abs(np.diff(xs) - dx) <= _SPACING_RTOL * dx)):
         raise ValueError(f"{path}: x column must be uniform and increasing")
     grid = Grid(n=xs.size, x_min=float(xs[0]), dx=dx)
-    return WaveFunction(grid, Basis.POSITION, _complex(table[:, 1], table[:, 2]))
+    return _state(path, grid, Basis.POSITION, table[:, 1:].ravel())
 
 
 def load_wavefunction(path) -> WaveFunction:
@@ -469,14 +481,19 @@ def load_wavefunction(path) -> WaveFunction:
         basis = Basis(header["basis"])
         amp_file = header.get("amp_file")
         amp = None if amp_file is not None else header["amp"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: state header lacks or mistypes field {exc}") from None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: state header lacks or mistypes a field: {exc}") from None
     check_grid_size(n)
+    check_positive(f"{path}: dx", grid.dx)
+    if not math.isfinite(grid.x_min):
+        raise ValueError(f"{path}: x_min must be finite, got {grid.x_min}")
     if amp_file is not None:
         interleaved = _sidecar(path, amp_file, n)
+    elif isinstance(amp, list) and len(amp) == 2 * n and all(type(v) in (int, float) for v in amp):
+        interleaved = np.array(amp, dtype=np.float64)
     else:
-        interleaved = np.asarray(amp, dtype=np.float64)
-    return WaveFunction(grid, basis, _complex(interleaved[0::2], interleaved[1::2]))
+        raise ValueError(f"{path}: amp must be a list of 2n = {2 * n} numbers")
+    return _state(path, grid, basis, interleaved)
 
 
 def save_distribution(dist: PhaseSpaceGrid, path, fmt: str = "csv") -> None:
@@ -507,80 +524,30 @@ def _distribution_from_table(table: np.ndarray, path) -> PhaseSpaceGrid:
     return PhaseSpaceGrid(x=x, p=p, kind=DistributionKind.HISTOGRAM, values=values)
 
 
-def _is_digit(a: np.ndarray) -> np.ndarray:
-    return a - np.uint8(48) < 10
-
-
-def _opens_number(u: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """Whether the bytes ``u`` at each offset in ``at`` open a JSON number: an
-    optional '-', then a digit, and no '0' followed by a digit."""
-    a, b, c = u[at], u[at + 1], u[at + 2]
-    return ((a - np.uint8(49) < 9) | (a == ord("0")) & ~_is_digit(b)
-            | (a == ord("-")) & ((b - np.uint8(49) < 9) | (b == ord("0")) & ~_is_digit(c)))
-
-
 def _values_table(data: bytes, lo: int, hi: int):
     """The 2-D float64 table of JSON text data[lo:hi], laid out as the writer
-    lays it out (``[[v, v], [v, v]]``), read row by row with ``np.fromstring``;
-    None unless ``json.loads`` would read the same floats from it.
+    lays it out (``[[v, v], [v, v]]``): split at the writer's ``], [``
+    separators, each row decoded by ``json.loads`` from its ASCII text; None
+    unless every row is a flat float64 array of one common length.
 
-    ``np.fromstring`` reads a JSON number as ``float`` does, but it also takes
-    ``+1``, ``.5``, ``1.``, ``1.e5``, ``01``, ``nan``, ``inf`` and an empty or
-    trailing cell, and an integer such as ``-0`` is a Python int to
-    ``json.loads``.  So the bytes are checked first, in a few vectorised
-    passes per chunk: each ',' has a digit before it and one space after it,
-    or else stands in a row separator '], [' with a digit before it; each cell
-    opens as ``_opens_number`` requires; no '.' precedes an 'e'; there is no
-    'E' and no NUL.  Any other stray byte stops ``np.fromstring``.  Then every
-    row must hold as many values as the commas call for, and a value that a
-    JSON integer would give differently (-0.0, or a magnitude of 2**63 or
-    more) must come from a cell with a '.' or an 'e'.
+    An accepted row holds no bracket and no string, so every split was a real
+    row separator, and ``json.loads`` of the whole table gives these rows.
     """
-    # the check of the cell after a comma reads up to two bytes past the table
-    if not (data.startswith(b"[[", lo) and len(data) >= hi + 2
-            and data.find(b"\0", lo, hi) < 0 and data.find(b"E", lo, hi) < 0):
-        return None
-    u = np.frombuffer(data, np.uint8)
-    if not (_opens_number(u, np.array([lo + 2])).all() and _is_digit(u[hi - 3 : hi - 2]).all()):
-        return None
-    row_seps, commas_seen = [np.empty(0, np.intp)], 0
-    step = CHUNK_ROWS * _FIELD
-    for at in range(lo + 2, hi - 2, step):
-        end = min(at + step, hi - 2)
-        commas = np.flatnonzero(u[at:end] == ord(",")) + at
-        ok = (u[commas + 1] == ord(" ")) & _is_digit(u[commas - 1]) & _opens_number(u, commas + 2)
-        seps = commas[~ok]  # the rest must each be the ',' of '], ['
-        ok = ((u[seps - 1] == ord("]")) & (u[seps + 1] == ord(" ")) & (u[seps + 2] == ord("["))
-              & _is_digit(u[seps - 2]) & _opens_number(u, seps + 3)).all()
-        for shift in (0, 1):  # '.e' as a little-endian pair, at even then odd offsets
-            pairs = np.frombuffer(data, "<u2", count=(end - at + 1) // 2, offset=at + shift)
-            ok = ok and not (pairs == 0x652E).any()
-        if not ok:
+    a, stop = lo + 1, hi - 2  # the '[' that opens a row, the ']' that closes the last
+    rows, table = data.count(b"], [", a, stop) + 1, None
+    for i in range(rows):
+        b = data.find(b"], [", a, stop)
+        b = stop if b < 0 else b
+        try:
+            row = np.asarray(json.loads(data[a : b + 1].decode("ascii")))
+        except ValueError:  # not ASCII, not JSON, or rows nested unevenly
             return None
-        row_seps.append(seps)
-        commas_seen += commas.size
-    row_seps = np.concatenate(row_seps)
-    starts = [lo + 2, *(row_seps + 3).tolist()]
-    stops = [*(row_seps - 1).tolist(), hi - 2]
-    try:
-        rows = (np.fromstring(data[a:b], sep=",") for a, b in zip(starts, stops))
-        first = next(rows)
-        table = np.empty((len(starts), first.size))
-        table[0] = first
-        for i, row in enumerate(rows, 1):
-            if row.size != first.size:
-                return None
-            table[i] = row
-    except ValueError:  # a byte that no JSON number holds
-        return None
-    if table.size != commas_seen + 1:
-        return None
-    doubtful = ((table >= 2.0**63) | (table <= -(2.0**63))
-                | (table.view(np.int64) == np.iinfo(np.int64).min))  # -0.0
-    for i, j in zip(*np.nonzero(doubtful)):
-        text = data[starts[i] : stops[i]].split(b",")[j]
-        if b"." not in text and b"e" not in text:
+        if table is None:
+            table = np.empty((rows, row.size))
+        if row.dtype != np.float64 or row.shape != table.shape[1:]:
             return None
+        table[i] = row
+        a = b + 3
     return table
 
 
@@ -604,7 +571,7 @@ def _distribution_doc(path: Path):
     data = path.read_bytes()
     at = data.find(_VALUES_KEY + b"[[")
     hi = data.rfind(b"]]") + 2
-    if data.startswith(b"x,") or at < 0 or hi < at:
+    if data.startswith(b"x,") or at < 0 or hi < at + len(_VALUES_KEY) + 4:
         return None
     values = _values_table(data, at + len(_VALUES_KEY), hi)
     head, tail = data[:at], data[hi:]
@@ -623,8 +590,8 @@ def _distribution_doc(path: Path):
 
 
 def load_distribution(path) -> PhaseSpaceGrid:
-    """A distribution file; a JSON document's ``values`` table is read without
-    ``json.loads`` where ``_distribution_doc`` can, with the same result."""
+    """A distribution file; a JSON document's ``values`` table is read row by
+    row where ``_distribution_doc`` can, with the same result."""
     path = Path(path)
     doc = None if path.suffix == ".csv" else _distribution_doc(path)
     if doc is None:

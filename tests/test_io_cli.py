@@ -461,6 +461,28 @@ class TestBadInput:
         assert err.startswith(line) and err.count("\n") == 1
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("fmt, edit", [
+        ("json", lambda doc: {**doc, "dx": -0.125}),
+        ("json", lambda doc: {**doc, "dx": math.nan}),
+        ("json", lambda doc: {**doc, "dx": 0.0}),
+        ("json", lambda doc: {**doc, "x_min": -math.inf}),
+        ("json", lambda doc: {**doc, "amp": [math.nan, *doc["amp"][1:]]}),
+        ("json", lambda doc: {**doc, "amp": doc["amp"][:-1]}),
+        ("json", lambda doc: {**doc, "amp": ["a", *doc["amp"][1:]]}),
+        ("csv", lambda text: text.replace(",0\n", ",nan\n", 1)),
+    ], ids=["dx-negative", "dx-nan", "dx-zero", "x-min-infinite", "json-amp-nan", "amp-odd-length",
+            "amp-string-cell", "csv-amp-nan"])
+    def test_bad_state_file_one_line_error(self, vacuum, tmp_path, capsys, fmt, edit):
+        path = tmp_path / f"state.{fmt}"
+        save_wavefunction(vacuum, path, fmt=fmt)
+        text = path.read_text()
+        path.write_text(json.dumps(edit(json.loads(text))) if fmt == "json" else edit(text))
+        out = tmp_path / "out"
+        assert main(["dist", "--which", "husimi", "--state", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [phaselab]: {path}: ") and err.count("\n") == 1
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("command, out", [(["state"], "afile"), (["dist"], "afile/sub")],
                              ids=["file-exists", "not-a-directory"])
     def test_unusable_output_path_one_line_error(self, tmp_path, capsys, command, out):
@@ -497,6 +519,14 @@ class TestCmdReport:
         text = (missing / "report.txt").read_text()
         assert str(missing) in text and text.endswith("overall: FAIL\n")
         assert capsys.readouterr().out == text
+
+    def test_malformed_report_file_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "x.report.json"
+        path.write_text("{bad")
+        assert main(["report", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [phaselab]: {path}: Expecting property name ")
+        assert err.count("\n") == 1
 
 
 class TestConfigFile:

@@ -1,7 +1,8 @@
 """The distribution JSON reader.  Its ``values`` table is read from the file's
-bytes with ``np.fromstring`` where that route can show that ``json.loads``
-gives the same document, and through ``json.loads`` otherwise: it accepts
-exactly what ``json.loads`` accepts, and returns the same bits."""
+bytes one row at a time, each row decoded by ``json.loads``, where that route
+can show that ``json.loads`` of the whole document gives the same document,
+and through ``json.loads`` of the whole document otherwise: it accepts exactly
+what ``json.loads`` accepts, and returns the same bits."""
 
 import json
 import random
@@ -32,8 +33,8 @@ def _write_table(path, table):
 
 
 def _fast_route_agrees(path):
-    """Whether the np.fromstring route took ``path``; where it did, its document
-    is the one json.loads decodes, header and bits of every value."""
+    """Whether the row route took ``path``; where it did, its document is the
+    one json.loads decodes, header and bits of every value."""
     fast = plio._distribution_doc(path)
     if fast is None:
         return False
@@ -73,7 +74,8 @@ def test_wigner_n1024_takes_the_fast_route_with_the_same_bits(tmp_path):
                                                              path)
 
 
-def test_reload_peak_memory(tmp_path):
+@pytest.mark.parametrize("spaces", [b", ", b",  "], ids=["writer-layout", "two-spaces"])
+def test_reload_peak_memory(tmp_path, spaces):
     # json.loads held the text and a million Python floats: 56.5 MiB at n = 1024
     n = 1024
     grid = make_grid(n, -16.0, 16.0)
@@ -81,6 +83,9 @@ def test_reload_peak_memory(tmp_path):
                           values=np.random.default_rng(3).normal(size=(n, n)))
     path = tmp_path / "w.json"
     plio.save_distribution(dist, path, fmt="json")
+    # each cell's separator widened, each row's '], [' kept
+    text = path.read_bytes().replace(b", ", spaces)
+    path.write_bytes(text.replace(b"]" + spaces + b"[", b"], ["))
     assert traced_peak(lambda: plio.load_distribution(path)) < 40 * 2**20
 
 
@@ -129,9 +134,8 @@ def test_documents_read_as_before(tmp_path, name, text):
                                                              path)
 
 
-# Cells and layouts that np.fromstring reads but JSON does not, or reads as a
-# different number, and documents where the bytes '"values": [[' are not the
-# top-level table.
+# Cells, whitespace and row separators that JSON reads or refuses, and
+# documents where the bytes '"values": [[' are not the top-level table.
 EDGES = {
     "integer": TEXT.replace("3.0", "3"),
     "negative-zero-integer": TEXT.replace("3.0", "-0"),
@@ -191,9 +195,9 @@ EDGES = {
 
 @pytest.mark.parametrize("name", EDGES)
 def test_edge_documents_read_as_json_loads_reads_them(tmp_path, name, monkeypatch):
-    """The np.fromstring route declines any document that it would read
-    differently, so load_distribution gives the outcome of the json.loads
-    route: the same grid, or the same exception and message."""
+    """The row route declines any document that it would read differently,
+    so load_distribution gives the outcome of the json.loads route: the same
+    grid, or the same exception and message."""
     path = tmp_path / "d.json"
     path.write_bytes(EDGES[name].encode())
     _fast_route_agrees(path)
@@ -219,17 +223,20 @@ def test_bad_tables_name_the_file(tmp_path, name, message):
 
 def test_json_numbers_take_the_fast_route(tmp_path):
     for name in ("integer", "overflow", "underflow-negative", "exponent-only",
-                 "leading-zero-exponent", "zero"):
+                 "leading-zero-exponent", "zero", "negative-zero-integer", "upper-exponent",
+                 "infinity", "NaN", "two-spaces", "no-space", "space-before-comma",
+                 "tab-before-comma", "space-inside-row", "last-cell-space"):
         path = tmp_path / f"{name}.json"
         path.write_text(EDGES[name])
         assert _fast_route_agrees(path), name
 
 
 def test_edited_documents_keep_the_contract(tmp_path):
-    """Seeded random edits of a document, anywhere in it: wherever the
-    np.fromstring route takes one, it decodes as json.loads decodes it."""
+    """Seeded random edits of a document, anywhere in it: wherever the row
+    route takes one, it decodes as json.loads decodes it."""
     rng = random.Random(7)
-    pieces = [*"0123456789.eE+-, []\t\n\v\0\"{}:nulNaIfty", ", ", "], [", "-0", "0.", ".e", "00", ""]
+    pieces = [*"0123456789.eE+-, []\t\n\v\0\"{}:nulNaIfty", ", ", "], [", "-0", "0.", ".e", "00",
+              "", "],[", "] ,[", "]\n, [", "], [[", "]], ["]
     path = tmp_path / "d.json"
     taken = 0
     for _ in range(600):
