@@ -26,12 +26,14 @@ Python's own formatter instead when any of these decisions falls within 1e-9
 which covers exact ties; when it is not finite; and, for repr, when its
 mantissa is a power of two, whose gap below is half the gap above.
 
-A distribution JSON document's ``values`` table is read back from the file's
-bytes one row at a time, each row decoded by ``json.loads`` into one float64
-array, so that only one row's Python floats are live at once.  The table is
-split at the writer's ``], [`` separators, and taken only where every row is a
-flat float array of one length; any other document goes through ``json.loads``
-whole.
+A distribution file is read back from one open handle, one block at a time,
+so that beside the n x n values only one block of text and of parsed rows is
+live.  A CSV table goes through ``np.loadtxt`` CHUNK_ROWS lines at a time,
+and each whole x row is checked as it arrives.  A JSON document is read in
+blocks of bytes and its ``values`` table row by row, each row decoded by
+``json.loads`` into one float64 array; the table is split at the writer's
+``], [`` separators, and taken only where every row is a flat float array of
+one length.  Any other JSON document goes through ``json.loads`` whole.
 
 Layouts:
 
@@ -77,6 +79,9 @@ _FIELD = 24
 
 # What opens the table of a distribution JSON document, as the writer lays it out.
 _VALUES_KEY = b'"values": '
+
+# Bytes of a distribution JSON document read per block: CHUNK_ROWS cells of text.
+_READ_BYTES = CHUNK_ROWS * _FIELD
 
 # Decisions this close to their boundary (in units of the 17th digit; relative
 # to the half-gap for the round-trip test) go to Python's formatter.  The
@@ -365,25 +370,37 @@ def _write_json_rows(fh, table: np.ndarray) -> None:
         fh.write(text[2:] if start == 0 else text)  # every row opens with ", ["
 
 
-def _read_table_or_doc(path: Path, header: str):
+def _csv_blocks(path: Path, fh, width: int):
+    """The float rows left in the open CSV text handle ``fh``, CHUNK_ROWS rows
+    at a time; blank and ``#`` comment lines are skipped, as ``np.loadtxt``
+    skips them."""
+    for count in itertools.count():
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no rows left: loadtxt warns
+                block = np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2,
+                                   max_rows=CHUNK_ROWS)
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed CSV: {exc}") from None
+        if block.shape[1] != width and (block.size or count == 0):
+            raise ValueError(f"{path}: expected rows of {width} numbers, got shape {block.shape}")
+        if block.size:
+            yield block
+        if block.shape[0] < CHUNK_ROWS:
+            return
+
+
+def _table_or_doc(path: Path, header: str, from_rows):
     """The decoded JSON document, or for a CSV file (named ``*.csv`` or with a
-    first line starting ``x,``) the float table after this header line."""
+    first line starting ``x,``) ``from_rows`` of the blocks of float rows after
+    this header line, read one block at a time."""
     with path.open() as fh:
         first = fh.readline()
         if path.suffix != ".csv" and not first.startswith("x,"):
             return json.loads(first + fh.read())
         if first.rstrip("\r\n") != header:
             raise ValueError(f"{path}: expected CSV header {header!r}, got {first.strip()!r}")
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # empty input: rejected below
-                table = np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2)
-        except ValueError as exc:
-            raise ValueError(f"{path}: malformed CSV: {exc}") from None
-    width = header.count(",") + 1
-    if table.shape[0] == 0 or table.shape[1] != width:
-        raise ValueError(f"{path}: expected rows of {width} numbers, got shape {table.shape}")
-    return table
+        return from_rows(_csv_blocks(path, fh, header.count(",") + 1))
 
 
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -391,6 +408,13 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     amp = np.empty(re.size, dtype=np.complex128)
     amp.real, amp.imag = re, im
     return amp
+
+
+def _header_n(n) -> int:
+    """A header's ``n``, which must be a JSON integer (``int()`` would truncate 64.9)."""
+    if type(n) is not int:
+        raise ValueError(f"n must be an integer, got {n!r}")
+    return n
 
 
 def save_json(doc: dict, path, **tables: np.ndarray) -> None:
@@ -460,7 +484,8 @@ def _state(path, grid: Grid, basis: Basis, interleaved: np.ndarray) -> WaveFunct
     return WaveFunction(grid, basis, _complex(interleaved[0::2], interleaved[1::2]))
 
 
-def _state_from_table(table: np.ndarray, path) -> WaveFunction:
+def _state_from_rows(path, blocks) -> WaveFunction:
+    table = np.concatenate(list(blocks))
     xs = table[:, 0]
     check_grid_size(xs.size)
     dx = float(xs[1] - xs[0])
@@ -472,16 +497,16 @@ def _state_from_table(table: np.ndarray, path) -> WaveFunction:
 
 def load_wavefunction(path) -> WaveFunction:
     path = Path(path)
-    header = _read_table_or_doc(path, "x,re,im")
-    if isinstance(header, np.ndarray):
-        return _state_from_table(header, path)
+    header = _table_or_doc(path, "x,re,im", functools.partial(_state_from_rows, path))
+    if isinstance(header, WaveFunction):
+        return header
     try:
-        n = int(header["n"])
+        n = _header_n(header["n"])
         grid = Grid(n=n, x_min=float(header["x_min"]), dx=float(header["dx"]))
         basis = Basis(header["basis"])
         amp_file = header.get("amp_file")
         amp = None if amp_file is not None else header["amp"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: state header lacks or mistypes a field: {exc}") from None
     check_grid_size(n)
     check_positive(f"{path}: dx", grid.dx)
@@ -490,7 +515,10 @@ def load_wavefunction(path) -> WaveFunction:
     if amp_file is not None:
         interleaved = _sidecar(path, amp_file, n)
     elif isinstance(amp, list) and len(amp) == 2 * n and all(type(v) in (int, float) for v in amp):
-        interleaved = np.array(amp, dtype=np.float64)
+        try:
+            interleaved = np.array(amp, dtype=np.float64)
+        except OverflowError:
+            raise ValueError(f"{path}: amp holds an integer too large for a float") from None
     else:
         raise ValueError(f"{path}: amp must be a list of 2n = {2 * n} numbers")
     return _state(path, grid, basis, interleaved)
@@ -513,42 +541,38 @@ def save_distribution(dist: PhaseSpaceGrid, path, fmt: str = "csv") -> None:
     }, path, values=dist.values)
 
 
-def _distribution_from_table(table: np.ndarray, path) -> PhaseSpaceGrid:
-    x, p = np.unique(table[:, 0]), np.unique(table[:, 1])
-    if table.shape[0] != x.size * p.size or not (
-        np.array_equal(table[:, 0], np.repeat(x, p.size))
-        and np.array_equal(table[:, 1], np.tile(p, x.size))
-    ):
-        raise ValueError(f"{path}: rows do not cover an (x, p) grid in row-major order")
-    values = table[:, 2].reshape(x.size, p.size)
-    return PhaseSpaceGrid(x=x, p=p, kind=DistributionKind.HISTOGRAM, values=values)
-
-
-def _values_table(data: bytes, lo: int, hi: int):
-    """The 2-D float64 table of JSON text data[lo:hi], laid out as the writer
-    lays it out (``[[v, v], [v, v]]``): split at the writer's ``], [``
-    separators, each row decoded by ``json.loads`` from its ASCII text; None
-    unless every row is a flat float64 array of one common length.
-
-    An accepted row holds no bracket and no string, so every split was a real
-    row separator, and ``json.loads`` of the whole table gives these rows.
-    """
-    a, stop = lo + 1, hi - 2  # the '[' that opens a row, the ']' that closes the last
-    rows, table = data.count(b"], [", a, stop) + 1, None
-    for i in range(rows):
-        b = data.find(b"], [", a, stop)
-        b = stop if b < 0 else b
-        try:
-            row = np.asarray(json.loads(data[a : b + 1].decode("ascii")))
-        except ValueError:  # not ASCII, not JSON, or rows nested unevenly
-            return None
-        if table is None:
-            table = np.empty((rows, row.size))
-        if row.dtype != np.float64 or row.shape != table.shape[1:]:
-            return None
-        table[i] = row
-        a = b + 3
-    return table
+def _distribution_from_rows(path, blocks) -> PhaseSpaceGrid:
+    """The grid of ``x,p,value`` rows, checked one whole x row at a time as
+    the blocks arrive: the first x row's p lattice increases strictly, and
+    every x row repeats it at one x, above the previous row's, with no rows
+    left over.  Only each row's x and its values are kept."""
+    p, last, xs, values, rest = None, np.empty(0), [], [], np.empty((0, 3))
+    for block in itertools.chain(blocks, [None]):
+        rows = rest if block is None else np.concatenate((rest, block))
+        if p is None:
+            new_x = np.flatnonzero(rows[:, 0] != rows[0, 0])
+            if block is not None and new_x.size == 0:  # the first x row goes on
+                rest = rows
+                continue
+            p = rows[: new_x[0] if new_x.size else len(rows), 1].copy()
+            if not (p.size and np.all(p[1:] > p[:-1])):
+                break
+        k = len(rows) // p.size
+        whole = rows[: k * p.size].reshape(k, p.size, 3)
+        rest = rows[k * p.size :]
+        x = np.concatenate((last, whole[:, 0, 0]))
+        if not (np.all(x[1:] > x[:-1]) and np.all(whole[:, :, 0] == whole[:, :1, 0])
+                and np.all(whole[:, :, 1] == p)):
+            break
+        last = x[-1:]
+        xs.append(x[len(x) - k :])
+        values.append(whole[:, :, 2].copy())
+    else:
+        if rest.size == 0:
+            values = np.concatenate(values)  # the list goes before the grid copies the table
+            return PhaseSpaceGrid(x=np.concatenate(xs), p=p, kind=DistributionKind.HISTOGRAM,
+                                  values=values)
+    raise ValueError(f"{path}: rows do not cover an (x, p) grid in row-major order")
 
 
 def _without_repeats(pairs):
@@ -559,51 +583,90 @@ def _without_repeats(pairs):
 
 
 def _distribution_doc(path: Path):
-    """The decoded distribution JSON document with its ``values`` table read by
-    ``_values_table``, or None where this route cannot show that ``json.loads``
-    gives the same document.
+    """The decoded distribution JSON document with its ``values`` table read
+    one row at a time, in blocks of _READ_BYTES bytes, or None where this
+    route cannot show that ``json.loads`` gives the same document.
 
-    The table is cut out of the bytes and ``null`` put in its place.  That
-    header must decode with no repeated key; and the text before the table,
-    closed by ``"values": null}``, must decode to an object whose last key is
-    "values", so the table is the top-level "values" field, not one in a
-    nested object or inside a string."""
-    data = path.read_bytes()
-    at = data.find(_VALUES_KEY + b"[[")
-    hi = data.rfind(b"]]") + 2
-    if data.startswith(b"x,") or at < 0 or hi < at + len(_VALUES_KEY) + 4:
+    The head runs up to the writer's ``"values": [[``.  Each row, from its
+    ``[`` to the first ``]`` after it, is decoded by ``json.loads`` from its
+    ASCII text and must be a flat float64 array of the first row's length,
+    followed by the writer's ``, [`` or, closing the table, by ``]``.  An
+    accepted row holds no bracket, so these are the rows that ``json.loads``
+    reads, and the first ``]]`` closes the table in its parse too.  With
+    ``null`` in the table's place, the head closed by ``}`` must decode to an
+    object whose last key is "values", so the table is the top-level "values"
+    field, not one in a nested object or inside a string; and the head and the
+    tail after the table must decode with no repeated key."""
+    key = _VALUES_KEY + b"[["
+    with path.open("rb") as fh:
+        buf, at = bytearray(), -1
+        while at < 0:
+            chunk = fh.read(_READ_BYTES)
+            start = max(0, len(buf) - len(key) + 1)
+            buf += chunk
+            if not chunk or buf.startswith(b"x,"):
+                return None
+            at = buf.find(key, start)
+        head = buf[:at]
+        if not head.isascii():
+            return None
+        head = head.decode() + '"values": null'
+        try:
+            pairs = json.loads(head + "}", object_pairs_hook=list)
+        except ValueError:
+            return None
+        if pairs[-1:] != [("values", None)]:
+            return None
+        rows, a = [], at + len(key) - 1  # a: the '[' that opens a row
+        while True:
+            b = buf.find(b"]", a)
+            if (b < 0 or len(buf) < b + 4) and (chunk := fh.read(_READ_BYTES)):
+                del buf[:a]
+                buf += chunk
+                a = 0
+                continue
+            if b < 0:
+                return None
+            try:
+                row = np.asarray(json.loads(buf[a : b + 1].decode("ascii")))
+            except ValueError:  # not ASCII or not JSON
+                return None
+            if row.dtype != np.float64 or row.shape != (rows[0] if rows else row).shape:
+                return None
+            rows.append(row)
+            after = buf[b + 1 : b + 4]
+            if after[:1] == b"]":
+                break
+            if after != b", [":
+                return None
+            a = b + 3
+        tail = buf[b + 2 :] + fh.read()
+    if not tail.isascii():
         return None
-    values = _values_table(data, at + len(_VALUES_KEY), hi)
-    head, tail = data[:at], data[hi:]
-    if values is None or not (head + tail).isascii():
-        return None
-    head, tail = head.decode() + '"values": null', tail.decode()
     try:
-        pairs = json.loads(head + "}", object_pairs_hook=list)
-        doc = json.loads(head + tail, object_pairs_hook=_without_repeats)
+        doc = json.loads(head + tail.decode(), object_pairs_hook=_without_repeats)
     except ValueError:
         return None
-    if not (isinstance(doc, dict) and pairs[-1:] == [("values", None)]):
-        return None
-    doc["values"] = values
+    doc["values"] = np.stack(rows)
     return doc
 
 
 def load_distribution(path) -> PhaseSpaceGrid:
-    """A distribution file; a JSON document's ``values`` table is read row by
-    row where ``_distribution_doc`` can, with the same result."""
+    """A distribution file, read one block of rows at a time: a JSON
+    document's ``values`` table row by row where ``_distribution_doc`` can,
+    with the same result, and a CSV table CHUNK_ROWS lines at a time."""
     path = Path(path)
     doc = None if path.suffix == ".csv" else _distribution_doc(path)
     if doc is None:
-        doc = _read_table_or_doc(path, "x,p,value")
-    if isinstance(doc, np.ndarray):
-        return _distribution_from_table(doc, path)
+        doc = _table_or_doc(path, "x,p,value", functools.partial(_distribution_from_rows, path))
+    if isinstance(doc, PhaseSpaceGrid):
+        return doc
     try:
-        n = int(doc["n"])
+        n = _header_n(doc["n"])
         x = doc["x_min"] + doc["dx"] * np.arange(n)
         p = doc["p_min"] + doc["dp"] * np.arange(len(doc["values"][0]))
         kind = DistributionKind(doc["kind"])
-    except (KeyError, IndexError, TypeError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: distribution header lacks or mistypes field {exc}") from None
     try:
         values = np.asarray(doc["values"])

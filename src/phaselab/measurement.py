@@ -249,7 +249,7 @@ def sample_joint(
     p_edges = np.linspace(g.p[0] - g.dp / 2.0, g.p[-1] + g.dp / 2.0, np_bins + 1)
 
     if shots == 0:
-        hist = _histogram(np.empty(0), np.empty(0), x_edges, p_edges, 0)
+        hist = _histogram(np.zeros((nx_bins, np_bins)), x_edges, p_edges, 0)
         return SampleResult(x=np.empty(0), p=np.empty(0), histogram=hist, rejected=0)
 
     px = m_density(pos, delta)
@@ -260,18 +260,22 @@ def sample_joint(
     xs, ps = np.empty(shots), np.empty(shots)
 
     def run(c):
+        """The chunk's rejections and its histogram counts, whole numbers that
+        sum exactly in any order."""
         rows = slice(c * CHUNK, c * CHUNK + sizes[c])
         xs[rows], ps[rows], rejected = _sample_chunk(pos, px, delta, seed, c, sizes[c])
-        return rejected
+        return rejected, np.histogram2d(xs[rows], ps[rows], bins=[x_edges, p_edges])[0]
 
+    rejected, counts = 0, np.zeros((nx_bins, np_bins))
     with ThreadPoolExecutor(max_workers=_worker_count(n_chunks)) as ex:
-        rejected = sum(ex.map(run, range(n_chunks)))
-    hist = _histogram(xs, ps, x_edges, p_edges, shots)
+        for chunk_rejected, chunk_counts in ex.map(run, range(n_chunks)):
+            rejected += chunk_rejected
+            counts += chunk_counts
+    hist = _histogram(counts, x_edges, p_edges, shots)
     return SampleResult(x=xs, p=ps, histogram=hist, rejected=rejected)
 
 
-def _histogram(xs, ps, x_edges, p_edges, shots) -> PhaseSpaceGrid:
-    counts, _, _ = np.histogram2d(xs, ps, bins=[x_edges, p_edges])
+def _histogram(counts, x_edges, p_edges, shots) -> PhaseSpaceGrid:
     area = (x_edges[1] - x_edges[0]) * (p_edges[1] - p_edges[0])
     density = counts / (shots * area) if shots > 0 else counts
     centers_x = 0.5 * (x_edges[:-1] + x_edges[1:])

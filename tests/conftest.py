@@ -8,7 +8,9 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from phaselab import coherent_state, fock_state, make_grid, normalize
+from phaselab import io as plio
 from phaselab.core import Basis, WaveFunction
+from phaselab.phasespace import DistributionKind, PhaseSpaceGrid
 
 
 def traced_peak(call) -> int:
@@ -19,6 +21,20 @@ def traced_peak(call) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.fixture(scope="session")
+def written_n1024(tmp_path_factory):
+    """An n = 1024 distribution of seeded random values and the directory that
+    holds it as ``w.json`` and ``q.csv``, written once per session."""
+    n = 1024
+    g = make_grid(n, -16.0, 16.0)
+    dist = PhaseSpaceGrid(x=g.x, p=g.p, kind=DistributionKind.WIGNER,
+                          values=np.random.default_rng(3).normal(size=(n, n)))
+    out = tmp_path_factory.mktemp("n1024")
+    plio.save_distribution(dist, out / "w.json", fmt="json")
+    plio.save_distribution(dist, out / "q.csv", fmt="csv")
+    return dist, out
 
 
 @pytest.fixture(scope="session")

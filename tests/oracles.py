@@ -5,6 +5,7 @@ callables and every integral is a dense trapezoid quadrature.
 """
 
 import json
+import warnings
 
 import numpy as np
 
@@ -377,3 +378,80 @@ def load_distribution_json_reference(path):
     p = doc["p_min"] + doc["dp"] * np.arange(len(doc["values"][0]))
     return PhaseSpaceGrid(x=x, p=p, kind=DistributionKind(doc["kind"]),
                           values=np.asarray(doc["values"]), delta=doc.get("delta"))
+
+
+def load_distribution_csv_reference(path):
+    """A distribution CSV file as read before the block reader: one
+    ``np.loadtxt`` of the whole table, then its axes from ``np.unique`` and a
+    check that the rows are ``np.repeat`` x by ``np.tile`` p."""
+    from pathlib import Path
+
+    from phaselab.phasespace import DistributionKind, PhaseSpaceGrid
+
+    with Path(path).open() as fh:
+        if fh.readline().rstrip("\r\n") != "x,p,value":
+            raise ValueError(f"{path}: expected CSV header 'x,p,value'")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # empty input: rejected below
+                table = np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed CSV: {exc}") from None
+    if table.shape[0] == 0 or table.shape[1] != 3:
+        raise ValueError(f"{path}: expected rows of 3 numbers, got shape {table.shape}")
+    x, p = np.unique(table[:, 0]), np.unique(table[:, 1])
+    if table.shape[0] != x.size * p.size or not (
+        np.array_equal(table[:, 0], np.repeat(x, p.size))
+        and np.array_equal(table[:, 1], np.tile(p, x.size))
+    ):
+        raise ValueError(f"{path}: rows do not cover an (x, p) grid in row-major order")
+    return PhaseSpaceGrid(x=x, p=p, kind=DistributionKind.HISTOGRAM,
+                          values=table[:, 2].reshape(x.size, p.size))
+
+
+def distribution_doc_reference(path):
+    """A distribution JSON document as the row route read it from the whole
+    file's bytes before the block reader: the table cut between the first
+    ``"values": [[`` and the last ``]]``, split at every ``], [``, each row
+    decoded by ``json.loads``; None where that route declined."""
+    from pathlib import Path
+
+    data = Path(path).read_bytes()
+    key = b'"values": '
+    at = data.find(key + b"[[")
+    hi = data.rfind(b"]]") + 2
+    if data.startswith(b"x,") or at < 0 or hi < at + len(key) + 4:
+        return None
+    a, stop = at + len(key) + 1, hi - 2  # the '[' that opens a row, the ']' that closes the last
+    rows = []
+    for _ in range(data.count(b"], [", a, stop) + 1):
+        b = data.find(b"], [", a, stop)
+        b = stop if b < 0 else b
+        try:
+            row = np.asarray(json.loads(data[a : b + 1].decode("ascii")))
+        except ValueError:
+            return None
+        if row.dtype != np.float64 or (rows and row.shape != rows[0].shape):
+            return None
+        rows.append(row)
+        a = b + 3
+    head, tail = data[:at], data[hi:]
+    if not (head + tail).isascii():
+        return None
+    head, tail = head.decode() + '"values": null', tail.decode()
+
+    def without_repeats(pairs):
+        doc = dict(pairs)
+        if len(doc) < len(pairs):
+            raise ValueError("repeated key")
+        return doc
+
+    try:
+        pairs = json.loads(head + "}", object_pairs_hook=list)
+        doc = json.loads(head + tail, object_pairs_hook=without_repeats)
+    except ValueError:
+        return None
+    if not (isinstance(doc, dict) and pairs[-1:] == [("values", None)]):
+        return None
+    doc["values"] = np.stack(rows)
+    return doc

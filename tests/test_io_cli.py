@@ -470,8 +470,11 @@ class TestBadInput:
         ("json", lambda doc: {**doc, "amp": doc["amp"][:-1]}),
         ("json", lambda doc: {**doc, "amp": ["a", *doc["amp"][1:]]}),
         ("csv", lambda text: text.replace(",0\n", ",nan\n", 1)),
+        ("json", lambda doc: {**doc, "n": doc["n"] + 0.9}),
+        ("json", lambda doc: {**doc, "n": str(doc["n"])}),
+        ("json", lambda doc: {**doc, "amp": [10**400, *doc["amp"][1:]]}),
     ], ids=["dx-negative", "dx-nan", "dx-zero", "x-min-infinite", "json-amp-nan", "amp-odd-length",
-            "amp-string-cell", "csv-amp-nan"])
+            "amp-string-cell", "csv-amp-nan", "n-not-integer", "n-string", "amp-huge-integer"])
     def test_bad_state_file_one_line_error(self, vacuum, tmp_path, capsys, fmt, edit):
         path = tmp_path / f"state.{fmt}"
         save_wavefunction(vacuum, path, fmt=fmt)

@@ -1,8 +1,9 @@
-"""The distribution JSON reader.  Its ``values`` table is read from the file's
-bytes one row at a time, each row decoded by ``json.loads``, where that route
-can show that ``json.loads`` of the whole document gives the same document,
-and through ``json.loads`` of the whole document otherwise: it accepts exactly
-what ``json.loads`` accepts, and returns the same bits."""
+"""The distribution JSON reader.  Its ``values`` table is read from blocks of
+the file's bytes one row at a time, each row decoded by ``json.loads``, where
+that route can show that ``json.loads`` of the whole document gives the same
+document, and through ``json.loads`` of the whole document otherwise: it
+accepts exactly what ``json.loads`` accepts, and returns the same bits.  The
+n = 1024 reloads of both distribution layouts are checked here too."""
 
 import json
 import random
@@ -14,7 +15,6 @@ import oracles
 from conftest import traced_peak
 from phaselab import coherent_state, make_grid, superpose, wigner
 from phaselab import io as plio
-from phaselab.phasespace import DistributionKind, PhaseSpaceGrid
 
 HEADER = {"delta": None, "dp": 0.5, "dx": 0.25, "kind": "wigner", "p_min": -1.0, "x_min": -0.5}
 TABLE = np.array([[0.5, -1.25, 3.0], [1e-05, 2.5, -0.0]])
@@ -75,18 +75,29 @@ def test_wigner_n1024_takes_the_fast_route_with_the_same_bits(tmp_path):
 
 
 @pytest.mark.parametrize("spaces", [b", ", b",  "], ids=["writer-layout", "two-spaces"])
-def test_reload_peak_memory(tmp_path, spaces):
+def test_reload_peak_memory(tmp_path, spaces, written_n1024):
     # json.loads held the text and a million Python floats: 56.5 MiB at n = 1024
-    n = 1024
-    grid = make_grid(n, -16.0, 16.0)
-    dist = PhaseSpaceGrid(x=grid.x, p=grid.p, kind=DistributionKind.WIGNER,
-                          values=np.random.default_rng(3).normal(size=(n, n)))
     path = tmp_path / "w.json"
-    plio.save_distribution(dist, path, fmt="json")
     # each cell's separator widened, each row's '], [' kept
-    text = path.read_bytes().replace(b", ", spaces)
+    text = (written_n1024[1] / "w.json").read_bytes().replace(b", ", spaces)
     path.write_bytes(text.replace(b"]" + spaces + b"[", b"], ["))
     assert traced_peak(lambda: plio.load_distribution(path)) < 40 * 2**20
+
+
+def test_csv_reload_peak_memory(written_n1024):
+    # one loadtxt of the whole table, then unique/repeat/tile: 34 MiB at n = 1024
+    path = written_n1024[1] / "q.csv"
+    assert traced_peak(lambda: plio.load_distribution(path)) < 20 * 2**20
+
+
+def test_n1024_reloads_have_the_written_bits(written_n1024):
+    """Both layouts of an n = 1024 table reload with the values that were
+    written, and the CSV layout with its axes too (JSON keeps x_min and dx)."""
+    dist, out = written_n1024
+    json_back, csv_back = (plio.load_distribution(out / name) for name in ("w.json", "q.csv"))
+    for a, b in ((json_back.values, dist.values), (csv_back.values, dist.values),
+                 (csv_back.x, dist.x), (csv_back.p, dist.p)):
+        assert a.shape == b.shape and np.array_equal(_bits(a), _bits(b))
 
 
 SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
@@ -190,6 +201,8 @@ EDGES = {
     "truncated": TEXT[:-3],
     "trailing-data": TEXT + "[]",
     "array-document": "[" + TEXT.strip() + "]",
+    "n-float": TEXT.replace('"n": 2', '"n": 2.5'),
+    "kind-unknown": TEXT.replace('"wigner"', '"foo"'),
 }
 
 
@@ -219,6 +232,48 @@ def test_bad_tables_name_the_file(tmp_path, name, message):
     with pytest.raises(ValueError, match=message) as info:
         plio.load_distribution(path)
     assert str(info.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("name, message", [
+    ("n-float", "n must be an integer, got 2.5"),
+    ("kind-unknown", "'foo' is not a valid DistributionKind"),
+])
+def test_bad_headers_name_the_file(tmp_path, name, message):
+    path = tmp_path / "bad.json"
+    path.write_text(EDGES[name])
+    with pytest.raises(ValueError, match=message) as info:
+        plio.load_distribution(path)
+    assert str(info.value).startswith(f"{path}: ") and "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 7, 11])
+def test_rows_across_read_boundaries(tmp_path, monkeypatch, block):
+    """Reads of one byte put a boundary at every byte, so every row separator
+    and the closing ']]' fall across one; each table still takes the row route
+    with the bits of json.loads and of the reader that held the whole file."""
+    monkeypatch.setattr(plio, "_READ_BYTES", block)
+    rng = np.random.default_rng(block)
+    for shape in ((2, 3), (4, 1), (1, 5), (5, 2)):
+        path = _write_table(tmp_path / "t.json", rng.normal(size=shape))
+        assert _fast_route_agrees(path)
+        doc, before = plio._distribution_doc(path), oracles.distribution_doc_reference(path)
+        assert np.array_equal(_bits(doc.pop("values")), _bits(before.pop("values")))
+        assert doc == before
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 4])
+def test_edge_documents_in_small_reads(tmp_path, monkeypatch, block):
+    """Every edge document, read a few bytes at a time, has the outcome of the
+    json.loads route."""
+    monkeypatch.setattr(plio, "_READ_BYTES", block)
+    path = tmp_path / "d.json"
+    for name, text in EDGES.items():
+        path.write_bytes(text.encode())
+        _fast_route_agrees(path)
+        got = _outcome(plio.load_distribution, path)
+        with monkeypatch.context() as m:
+            m.setattr(plio, "_distribution_doc", lambda path: None)
+            assert got == _outcome(plio.load_distribution, path), name
 
 
 def test_json_numbers_take_the_fast_route(tmp_path):

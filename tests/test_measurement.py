@@ -242,6 +242,19 @@ class TestSampler:
         threaded = sample_joint(vacuum, 1.0, 20000, seed=9)
         assert np.array_equal(base.x, threaded.x) and np.array_equal(base.p, threaded.p)
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_chunk_histograms_sum_to_one_histogram(self, grid, monkeypatch, threads):
+        # three whole chunks and a partial one, histogrammed chunk by chunk
+        monkeypatch.setenv("PHASESPACE_THREADS", threads)
+        psi = superpose(1.0, coherent_state(grid, -2.0, 0.0), 1.0, coherent_state(grid, 2.0, 0.5))
+        shots = 3 * CHUNK + 123
+        res = sample_joint(psi, 1.0, shots, seed=13, bins=(16, 8))
+        x_edges = np.linspace(grid.x[0] - grid.dx / 2.0, grid.x[-1] + grid.dx / 2.0, 17)
+        p_edges = np.linspace(grid.p[0] - grid.dp / 2.0, grid.p[-1] + grid.dp / 2.0, 9)
+        counts = np.histogram2d(res.x, res.p, bins=[x_edges, p_edges])[0]
+        area = (x_edges[1] - x_edges[0]) * (p_edges[1] - p_edges[0])
+        assert np.array_equal(res.histogram.values, counts / (shots * area))
+
     def test_exhausted_redraws_raise(self, monkeypatch):
         # every outcome's collapse norm is below an impossible threshold
         g = make_grid(64, -8, 8)
