@@ -7,14 +7,14 @@ density equal to the Husimi function; the weak-coupling regime maps onto
 delta = 1/g^2 after rescaling the device readout by 1/g.
 
 The uncoupled composite is held as its two factors, the 1-D device Gaussian
-and the system state, and the coupling forms only the rows it is asked for.
-On a whole-cell device lattice row i, column k of the coupled composite is
-env[(i - m0 - r*k) mod n_d] * psi_k, one gather; ``pointer_vs_direct`` forms
-only the n readout rows, in blocks of BLOCK rows, and reads out and compares
-each block as it goes, so at weak coupling its memory does not grow with the
-device lattice (n = 1024, g = 0.08, delta_device = 4: 20 MiB, where the
-whole n_d x n composite took 505 MiB).  Elsewhere the momentum-space phase
-runs in blocks of min(n, BLOCK) columns, which is what MAX_DEVICE_CELLS bounds.
+and the system state, and the coupling forms only the rows it is asked for,
+by one gather of the device Gaussian (see ``_row_gather``).
+``pointer_vs_direct`` forms only the n readout rows, in blocks of BLOCK rows,
+and reads out and compares each block as it goes, so its memory does not grow
+with the device lattice (n = 1024, g = 0.08, delta_device = 4: 20 MiB, where
+the whole n_d x n composite took 505 MiB).  The momentum-space phase runs only
+in ``apply_interaction``, on a device lattice that does not move each column
+by whole cells or a composite that is not a product.
 """
 
 from __future__ import annotations
@@ -41,8 +41,9 @@ from .core import (
 from .measurement import successive_density
 from .phasespace import DistributionKind, PhaseSpaceGrid
 
-# Most device x system cells that one block of a default device lattice holds,
-# n_d x min(n, BLOCK): 1 GiB as complex128.
+# Most cells n_d x min(n, BLOCK) of a default device lattice: 1 GiB as
+# complex128.  The gather's blocks are BLOCK x n whatever n_d is; the cap keeps
+# n_d, and with it the device Gaussian and a whole ``apply_interaction``, finite.
 MAX_DEVICE_CELLS = 2**26
 
 
@@ -86,9 +87,9 @@ class CompositeWaveFunction:
 @dataclass(frozen=True)
 class ProductWaveFunction:
     """The composite before the coupling, held as its two factors: the device
-    amplitudes ``env`` and the system state ``psi`` (position basis).  ``amp``
-    forms their n_d x n product each time it is read; the coupling takes its
-    rows or columns from the factors instead."""
+    Gaussian ``env`` of ``make_composite`` and the system state ``psi``
+    (position basis).  ``amp`` forms their n_d x n product each time it is
+    read; the coupling takes its rows or columns from the factors instead."""
 
     device_grid: Grid
     env: np.ndarray
@@ -151,68 +152,63 @@ def _coupled_rows(env: np.ndarray, psi: np.ndarray, rows: np.ndarray, m0: int, r
     return np.take(env, np.subtract.outer(rows - m0, r * np.arange(psi.size)), mode="wrap") * psi
 
 
-def _coupled_blocks(comp: CompositeWaveFunction | ProductWaveFunction, g: float,
-                    rows: np.ndarray, size: int):
-    """Rows ``rows`` of the coupled composite exp(-i*g*x_sys*p_dev)|comp>, in
-    blocks of ``size``, once the shifted device envelope is known to stay off
-    the device grid edges.
-
-    Column k moves by c + r*k device cells, c = g*x_min/dx_dev, r = g*dx/dx_dev.
-    Where c and r are whole numbers, r >= 1 (within 1e-9; ``device_grid_for``
-    gives r = 1), that is a circular roll of each column: exact, as the phase
-    exp(-i*m*dx_dev*p) of a whole m-cell shift is that roll.  For a product
-    composite each block and the two edge rows are then ``_coupled_rows`` of
-    its factors, and the largest amplitude is that of max(env) times psi, as
-    a roll only permutes a column.  Any other composite or lattice gets the
-    momentum-space phase in blocks of min(n, BLOCK) columns, of which only
-    ``rows`` and the edge rows are kept.
-    """
-    gd, gs = comp.device_grid, comp.system_grid
-    r, r_frac = split_cells(g * gs.dx / gd.dx)
-    m0, frac = split_cells(g * gs.x_min / gd.dx)
-    edges = np.array([0, gd.n - 1])
-    if isinstance(comp, ProductWaveFunction) and r >= 1 and r_frac == 0.0 and frac == 0.0:
-        env, psi = comp.env, comp.psi.amp
-        edge_rows = _coupled_rows(env, psi, edges, m0, r)
-        peak = float(np.max(np.abs(env.max() * psi)))
-
-        def block(lo):
-            return _coupled_rows(env, psi, rows[lo : lo + size], m0, r)
-    else:
-        keep = np.concatenate([edges, rows])
-        kept = np.empty((keep.size, gs.n), np.complex128)
-        peak = 0.0
-        x, p = gd.x, gd.p
-        for lo in range(0, gs.n, BLOCK):
-            cols = slice(lo, lo + BLOCK)
-            phi = fourier_sum(comp.columns(cols), x, p, gd.dx / math.sqrt(TWO_PI), sign=-1, axis=0)
-            phi = phi * np.exp(-1j * g * np.outer(p, gs.x[cols]))
-            amp = fourier_sum(phi, p, x, gd.dp / math.sqrt(TWO_PI), sign=+1, axis=0)
-            kept[:, cols] = amp[keep]
-            peak = max(peak, float(np.max(np.abs(amp))))
-        edge_rows = kept[:2]
-
-        def block(lo):
-            return kept[2 + lo : 2 + lo + size]
-    edge = float(np.max(np.abs(edge_rows)))
+def _check_edges(edge_rows: np.ndarray, amp: np.ndarray):
+    """Refuse a coupled composite whose two edge rows are not negligible beside
+    the largest amplitude, that of ``amp``."""
+    edge, peak = (float(np.max(np.abs(a))) for a in (edge_rows, amp))
     if edge > 1e-10 * peak:
         raise EnvelopeError(
             f"shifted device envelope reaches the device grid edge (relative edge "
             f"amplitude {edge / peak:.3g}); widen the device grid"
         )
-    for lo in range(0, rows.size, size):
-        yield block(lo)
+
+
+def _row_gather(comp: CompositeWaveFunction | ProductWaveFunction, g: float):
+    """The rows of the coupled composite exp(-i*g*x_sys*p_dev)|comp> as a
+    function of the row indices, once the shifted device Gaussian is known to
+    stay off the device grid edges; None off whole cells or off a product.
+
+    Column k moves by c + r*k device cells, c = g*x_min/dx_dev = m0 + f and
+    r = g*dx/dx_dev (``device_grid_for`` gives r = 1).  Where r is whole
+    (within 1e-9), row i, column k is the device Gaussian at
+    x_(i - m0 - r*k) - f*dx_dev times psi_k: ``_coupled_rows`` of that
+    Gaussian, sampled once (``env`` itself when f = 0), and psi.  This is
+    exact, with no interpolation of the shift.  The largest amplitude is that
+    of max(Gaussian) times psi, as a gather only permutes a column.
+    """
+    gd, gs = comp.device_grid, comp.system_grid
+    r, r_frac = split_cells(g * gs.dx / gd.dx)
+    if r_frac != 0.0 or not isinstance(comp, ProductWaveFunction):
+        return None
+    m0, frac = split_cells(g * gs.x_min / gd.dx)
+    env, psi = comp.env, comp.psi.amp
+    if frac:
+        env = gaussian_window(gd.x, frac * gd.dx, comp.delta_device)
+        env = env / math.sqrt(float(np.sum(env**2)) * gd.dx)
+    _check_edges(_coupled_rows(env, psi, np.array([0, gd.n - 1]), m0, r), env.max() * psi)
+    return lambda rows: _coupled_rows(env, psi, rows, m0, r)
 
 
 def apply_interaction(comp: CompositeWaveFunction | ProductWaveFunction,
                       g: float) -> CompositeWaveFunction:
     """Impulsive coupling exp(-i*g*x_sys*p_dev): shifts the device by g*x_sys,
-    on every row of the device lattice (see ``_coupled_blocks``)."""
-    if g == 0.0:
-        return comp
-    gd = comp.device_grid
-    (amp,) = _coupled_blocks(comp, g, np.arange(gd.n), gd.n)
-    return CompositeWaveFunction(gd, comp.system_grid, amp, comp.delta_device)
+    on every row of the device lattice.  A product on whole cells is one
+    gather (see ``_row_gather``); any other composite or lattice gets the
+    momentum-space phase in blocks of min(n, BLOCK) columns."""
+    gd, gs = comp.device_grid, comp.system_grid
+    gather = _row_gather(comp, g)
+    if gather is not None:
+        amp = gather(np.arange(gd.n))
+    else:
+        amp = np.empty((gd.n, gs.n), np.complex128)
+        x, p = gd.x, gd.p
+        for lo in range(0, gs.n, BLOCK):
+            cols = slice(lo, lo + BLOCK)
+            phi = fourier_sum(comp.columns(cols), x, p, gd.dx / math.sqrt(TWO_PI), sign=-1, axis=0)
+            phi = phi * np.exp(-1j * g * np.outer(p, gs.x[cols]))
+            amp[:, cols] = fourier_sum(phi, p, x, gd.dp / math.sqrt(TWO_PI), sign=+1, axis=0)
+        _check_edges(amp[[0, -1]], amp)
+    return CompositeWaveFunction(gd, gs, amp, comp.delta_device)
 
 
 def readout_joint(comp: CompositeWaveFunction) -> PhaseSpaceGrid:
@@ -244,9 +240,9 @@ def pointer_vs_direct(psi: WaveFunction, spec: CouplingSpec) -> float:
     direct successive-measurement density with delta = delta_device/g^2, read
     out on the n device rows whose rescaled positions are the system lattice.
 
-    Only those rows of the coupled composite are formed, and they are read out
-    and compared in blocks of BLOCK rows; the device lattice enters as its
-    1-D Gaussian, or, off whole cells, as blocks of BLOCK columns.
+    Only those rows of the coupled composite are formed, by the gather of
+    ``_row_gather``, and they are read out and compared in blocks of BLOCK
+    rows; the device lattice enters only as its 1-D Gaussian.
     """
     pos = as_position(psi)
     sg = pos.grid
@@ -257,9 +253,10 @@ def pointer_vs_direct(psi: WaveFunction, spec: CouplingSpec) -> float:
     if not np.allclose(x / spec.g, sg.x, atol=1e-9):
         raise AssertionError("rescaled device lattice does not contain the system lattice")
     direct = successive_density(pos, spec.delta_device / spec.g**2).values
+    gather = _row_gather(comp, spec.g)
     deviation = 0.0
-    blocks = _coupled_blocks(comp, spec.g, left + np.arange(sg.n), BLOCK)
-    for lo, amp in zip(range(0, sg.n, BLOCK), blocks):
+    for lo in range(0, sg.n, BLOCK):
+        amp = gather(np.arange(left + lo, left + min(lo + BLOCK, sg.n)))
         rows = Grid(n=amp.shape[0], x_min=float(x[lo]), dx=dg.dx)
         block = CompositeWaveFunction(rows, sg, amp, spec.delta_device)
         joint = weak_rescale(readout_joint(block), spec.g)

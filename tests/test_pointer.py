@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_state, traced_peak
 from phaselab import (
+    CompositeWaveFunction,
     CouplingSpec,
     apply_interaction,
     coherent_state,
@@ -119,7 +120,8 @@ class TestApplyInteraction:
     def test_zero_coupling_is_identity(self, sys_grid, dev_grid, rng):
         comp = make_composite(dev_grid, 1.0, random_state(sys_grid, rng))
         out = apply_interaction(comp, 0.0)
-        assert np.max(np.abs(out.amp - comp.amp)) < 1e-12
+        assert isinstance(out, CompositeWaveFunction)
+        assert np.array_equal(out.amp, comp.amp)
 
     def test_device_shifts_by_system_position(self, sys_grid, dev_grid):
         # narrow system state near x0: the device marginal shifts by ~ g*x0

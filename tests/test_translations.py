@@ -10,6 +10,7 @@ import pytest
 import oracles
 from conftest import traced_peak
 from phaselab import (
+    CompositeWaveFunction,
     CouplingSpec,
     apply_interaction,
     characteristic,
@@ -21,10 +22,11 @@ from phaselab import (
     normalize,
     pointer_vs_direct,
     readout_joint,
+    weak_rescale,
     wigner,
 )
 from phaselab import measurement, phasespace, pointer
-from phaselab.core import Basis, WaveFunction
+from phaselab.core import Basis, Grid, WaveFunction, gaussian_window
 
 SIZES = [64, 256, 1024]
 # On [-15, 17.3) the offset x_min/dx is a fractional number of cells.
@@ -92,18 +94,50 @@ POINTER_CASES = [(n, domain, g, dd) for n in (256, 1024) for domain in DOMAINS
                  if not (n == 1024 and domain in FRACTIONAL and g == 0.08)]
 
 
+def _whole_composite_deviation(psi, spec):
+    """The deviation of the whole composite that ``apply_interaction`` couples,
+    read out on its n readout rows in one transform."""
+    sg = psi.grid
+    dg = device_grid_for(sg, spec)
+    amp = apply_interaction(make_composite(dg, spec.delta_device, psi), spec.g).amp
+    left = round((spec.g * sg.x_min - dg.x_min) / dg.dx)
+    rows = CompositeWaveFunction(Grid(n=sg.n, x_min=float(dg.x[left]), dx=dg.dx), sg,
+                                 amp[left : left + sg.n], spec.delta_device)
+    joint = weak_rescale(readout_joint(rows), spec.g).values
+    direct = oracles.successive_density_whole(psi, spec.delta_device / spec.g**2)
+    return float(np.max(np.abs(joint - direct)))
+
+
 @pytest.mark.parametrize("n, domain, g, delta_device", POINTER_CASES)
 def test_pointer_rows_match_the_whole_composite(n, domain, g, delta_device):
-    """Coupling only the readout rows, in row and column blocks, gives the
-    deviation of the whole coupled composite bit for bit."""
+    """Coupling only the readout rows, in row blocks, gives the deviation of
+    the whole coupled composite bit for bit.  On a centred domain that is also
+    the deviation of the whole-composite reference; on an offset domain the
+    shifted device Gaussian deviates no more than its momentum-phase kernel."""
     psi = _state(make_grid(n, *domain))
     spec = CouplingSpec(g=g, delta_device=delta_device)
-    assert pointer_vs_direct(psi, spec) == oracles.pointer_vs_direct_reference(psi, spec)
+    deviation = pointer_vs_direct(psi, spec)
+    assert deviation == _whole_composite_deviation(psi, spec)
+    reference = oracles.pointer_vs_direct_reference(psi, spec)
+    if domain in FRACTIONAL:
+        assert deviation <= reference
+    else:
+        assert deviation == reference
+
+
+# The momentum-phase kernel read 6.9e-15 to 1.3e-13 here; the shifted Gaussian
+# has no interpolation round-off.
+@pytest.mark.parametrize("g, delta_device", [(1.0, 1.0), (0.5, 1.0), (0.08, 4.0)])
+@pytest.mark.parametrize("n", [256, 1024])
+def test_offset_domain_deviation(n, g, delta_device):
+    psi = _state(make_grid(n, *FRACTIONAL[0]))
+    assert pointer_vs_direct(psi, CouplingSpec(g=g, delta_device=delta_device)) < 1e-15
 
 
 @pytest.mark.parametrize("domain, g, delta_device, bound_mib", [
     ((-16.0, 16.0), 0.08, 4.0, 48),  # the whole composite: n_d = 12920, 505 MiB
     ((-15.0, 17.3), 0.5, 1.0, 64),  # the momentum-phase route on all columns: 123 MiB
+    ((-15.0, 17.3), 0.08, 4.0, 48),  # the momentum-phase route in column blocks: 150 MiB
 ])
 def test_pointer_peak_memory_by_blocks(domain, g, delta_device, bound_mib):
     psi = _state(make_grid(1024, *domain))
@@ -113,22 +147,36 @@ def test_pointer_peak_memory_by_blocks(domain, g, delta_device, bound_mib):
 
 def test_coupling_never_uses_the_direct_route(grid, monkeypatch, rng):
     """The pointer route stays independent of the operator route it is
-    compared with: coupling and readout run with that route disabled."""
+    compared with: coupling and readout run with that route disabled, and on
+    an offset domain the shifted device Gaussian comes from the window."""
     from conftest import random_state
 
-    psi = random_state(grid, rng)
-    expected = husimi(psi, 1.0).values
+    states = [random_state(sg, rng) for sg in (grid, make_grid(256, *FRACTIONAL[0]))]
+    expected = [husimi(psi, 1.0).values for psi in states]
 
     def disabled(*args, **kwargs):
         raise AssertionError("the pointer route called the direct route")
 
+    centers = []
+
+    def window(c, x, delta):
+        centers.append(x)
+        return gaussian_window(c, x, delta)
+
     monkeypatch.setattr(measurement, "_m_diag", disabled)
     monkeypatch.setattr(phasespace, "husimi", disabled)
     monkeypatch.setattr(pointer, "successive_density", disabled)
-    dg = device_grid_for(grid, CouplingSpec(g=1.0))
-    joint = readout_joint(apply_interaction(make_composite(dg, 1.0, psi), 1.0))
-    margin = round((grid.x[0] - dg.x[0]) / grid.dx)
-    assert np.max(np.abs(joint.values[margin : margin + grid.n] - expected)) < 1e-6
+    monkeypatch.setattr(pointer, "gaussian_window", window)
+    for psi, values in zip(states, expected):
+        sg = psi.grid
+        dg = device_grid_for(sg, CouplingSpec(g=1.0))
+        centers.clear()
+        joint = readout_joint(apply_interaction(make_composite(dg, 1.0, psi), 1.0))
+        margin = round((sg.x[0] - dg.x[0]) / sg.dx)
+        assert np.max(np.abs(joint.values[margin : margin + sg.n] - values)) < 1e-6
+        # make_composite's Gaussian at 0, then on the offset domain the shifted one
+        assert centers[0] == 0.0 and len(centers) == (1 if sg is grid else 2)
+        assert 0.0 not in centers[1:]
 
 
 def _same_bits(a, b):
