@@ -63,7 +63,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Basis, Grid, WaveFunction, check_grid_size, check_positive
+from .core import Basis, Grid, WaveFunction, check_grid_size
 from .phasespace import CharacteristicGrid, DistributionKind, PhaseSpaceGrid
 
 # Table rows (CSV lines, or JSON cells) encoded and written per chunk: bounds the
@@ -417,6 +417,22 @@ def _header_n(n) -> int:
     return n
 
 
+def _header_number(path, name: str, value, positive: bool = False) -> float:
+    """A header's number ``name``, which must be a JSON number (not a bool),
+    finite, and above 0 if ``positive``; a bad one is a ``ValueError`` that
+    starts with ``path``."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{path}: {name} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the largest float
+        number = math.inf
+    if not (math.isfinite(number) and (number > 0.0 or not positive)):
+        need = "positive and finite" if positive else "finite"
+        raise ValueError(f"{path}: {name} must be {need}, got {number!r}")
+    return number
+
+
 def save_json(doc: dict, path, **tables: np.ndarray) -> None:
     """``doc`` and the 2-D float arrays passed by keyword as one JSON object with
     sorted keys, the bytes of ``json.dumps``; an array is encoded in chunks of rows."""
@@ -497,21 +513,23 @@ def _state_from_rows(path, blocks) -> WaveFunction:
 
 def load_wavefunction(path) -> WaveFunction:
     path = Path(path)
-    header = _table_or_doc(path, "x,re,im", functools.partial(_state_from_rows, path))
+    try:
+        header = _table_or_doc(path, "x,re,im", functools.partial(_state_from_rows, path))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if isinstance(header, WaveFunction):
         return header
     try:
         n = _header_n(header["n"])
-        grid = Grid(n=n, x_min=float(header["x_min"]), dx=float(header["dx"]))
+        x_min, dx = header["x_min"], header["dx"]
         basis = Basis(header["basis"])
         amp_file = header.get("amp_file")
         amp = None if amp_file is not None else header["amp"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: state header lacks or mistypes a field: {exc}") from None
+    grid = Grid(n=n, x_min=_header_number(path, "x_min", x_min),
+                dx=_header_number(path, "dx", dx, positive=True))
     check_grid_size(n)
-    check_positive(f"{path}: dx", grid.dx)
-    if not math.isfinite(grid.x_min):
-        raise ValueError(f"{path}: x_min must be finite, got {grid.x_min}")
     if amp_file is not None:
         interleaved = _sidecar(path, amp_file, n)
     elif isinstance(amp, list) and len(amp) == 2 * n and all(type(v) in (int, float) for v in amp):
@@ -663,11 +681,17 @@ def load_distribution(path) -> PhaseSpaceGrid:
         return doc
     try:
         n = _header_n(doc["n"])
-        x = doc["x_min"] + doc["dx"] * np.arange(n)
-        p = doc["p_min"] + doc["dp"] * np.arange(len(doc["values"][0]))
+        x_min, dx, p_min, dp = doc["x_min"], doc["dx"], doc["p_min"], doc["dp"]
+        n_p = len(doc["values"][0])
         kind = DistributionKind(doc["kind"])
-    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: distribution header lacks or mistypes field {exc}") from None
+    x_min, dx = _header_number(path, "x_min", x_min), _header_number(path, "dx", dx, positive=True)
+    p_min, dp = _header_number(path, "p_min", p_min), _header_number(path, "dp", dp, positive=True)
+    x, p = x_min + dx * np.arange(n), p_min + dp * np.arange(n_p)
+    delta = doc.get("delta")
+    if delta is not None:
+        delta = _header_number(path, "delta", delta, positive=True)
     try:
         values = np.asarray(doc["values"])
         if values.dtype.kind not in "fiu":  # not a string, null or bool
@@ -678,7 +702,7 @@ def load_distribution(path) -> PhaseSpaceGrid:
     if values.shape != (n, p.size):
         raise ValueError(f"{path}: values shape {values.shape} does not match n = {n} "
                          f"rows of {p.size}")
-    return PhaseSpaceGrid(x=x, p=p, kind=kind, values=values, delta=doc.get("delta"))
+    return PhaseSpaceGrid(x=x, p=p, kind=kind, values=values, delta=delta)
 
 
 def save_characteristic(cg: CharacteristicGrid, path) -> None:

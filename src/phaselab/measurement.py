@@ -286,9 +286,10 @@ def _histogram(counts, x_edges, p_edges, shots) -> PhaseSpaceGrid:
 
 
 def check_bins(bins, shape=None) -> tuple:
-    """(x bins, p bins): two positive integers; with a lattice `shape`, each divides its axis."""
-    if not (len(bins) == 2 and all(isinstance(b, Integral) and b > 0 for b in bins)):
-        raise ValueError(f"bins must be two positive integers, got {tuple(bins)!r}")
+    """(x bins, p bins): two integers of at least 2, as a histogram needs a
+    spacing; with a lattice `shape`, each divides its axis."""
+    if not (len(bins) == 2 and all(isinstance(b, Integral) and b > 1 for b in bins)):
+        raise ValueError(f"bins must be two positive integers of at least 2, got {tuple(bins)!r}")
     if shape is not None and (shape[0] % bins[0] or shape[1] % bins[1]):
         raise ValueError(f"bin counts {bins[0]} x {bins[1]} must divide the lattice size "
                          f"{shape[0]} x {shape[1]}")

@@ -11,10 +11,10 @@ and the system state, and the coupling forms only the rows it is asked for,
 by one gather of the device Gaussian (see ``_row_gather``).
 ``pointer_vs_direct`` forms only the n readout rows, in blocks of BLOCK rows,
 and reads out and compares each block as it goes, so its memory does not grow
-with the device lattice (n = 1024, g = 0.08, delta_device = 4: 20 MiB, where
-the whole n_d x n composite took 505 MiB).  The momentum-space phase runs only
-in ``apply_interaction``, on a device lattice that does not move each column
-by whole cells or a composite that is not a product.
+with the device lattice.  ``apply_interaction`` takes the product that
+``make_composite`` returns and fills its n_d x n output BLOCK rows at a time
+by the same gather; only on a device lattice that does not move each column
+by whole cells does it run the momentum-space phase.
 """
 
 from __future__ import annotations
@@ -80,9 +80,6 @@ class CompositeWaveFunction:
             float(np.sum(np.abs(self.amp) ** 2)) * self.device_grid.dx * self.system_grid.dx
         )
 
-    def columns(self, cols: slice) -> np.ndarray:
-        return self.amp[:, cols]
-
 
 @dataclass(frozen=True)
 class ProductWaveFunction:
@@ -102,10 +99,7 @@ class ProductWaveFunction:
 
     @property
     def amp(self) -> np.ndarray:
-        return self.columns(slice(None))
-
-    def columns(self, cols: slice) -> np.ndarray:
-        amp = np.outer(self.env, self.psi.amp[cols])
+        amp = np.outer(self.env, self.psi.amp)
         amp.flags.writeable = False
         return amp
 
@@ -145,13 +139,6 @@ def make_composite(device_grid: Grid, delta: float, psi: WaveFunction) -> Produc
     return ProductWaveFunction(device_grid, env, as_position(psi), float(delta))
 
 
-def _coupled_rows(env: np.ndarray, psi: np.ndarray, rows: np.ndarray, m0: int, r: int):
-    """Rows ``rows`` of the product env x psi with column k rolled down by
-    m0 + r*k cells: (i, k) is env[(i - m0 - r*k) mod n_d] * psi_k, multiplied
-    as ``np.outer`` multiplies."""
-    return np.take(env, np.subtract.outer(rows - m0, r * np.arange(psi.size)), mode="wrap") * psi
-
-
 def _check_edges(edge_rows: np.ndarray, amp: np.ndarray):
     """Refuse a coupled composite whose two edge rows are not negligible beside
     the largest amplitude, that of ``amp``."""
@@ -163,48 +150,56 @@ def _check_edges(edge_rows: np.ndarray, amp: np.ndarray):
         )
 
 
-def _row_gather(comp: CompositeWaveFunction | ProductWaveFunction, g: float):
+def _row_gather(comp: ProductWaveFunction, g: float):
     """The rows of the coupled composite exp(-i*g*x_sys*p_dev)|comp> as a
     function of the row indices, once the shifted device Gaussian is known to
-    stay off the device grid edges; None off whole cells or off a product.
+    stay off the device grid edges; None off whole cells.
 
     Column k moves by c + r*k device cells, c = g*x_min/dx_dev = m0 + f and
     r = g*dx/dx_dev (``device_grid_for`` gives r = 1).  Where r is whole
     (within 1e-9), row i, column k is the device Gaussian at
-    x_(i - m0 - r*k) - f*dx_dev times psi_k: ``_coupled_rows`` of that
-    Gaussian, sampled once (``env`` itself when f = 0), and psi.  This is
-    exact, with no interpolation of the shift.  The largest amplitude is that
-    of max(Gaussian) times psi, as a gather only permutes a column.
+    x_(i - m0 - r*k) - f*dx_dev times psi_k, that Gaussian sampled once
+    (``env`` itself when f = 0) and gathered mod n_d, multiplied as
+    ``np.outer`` multiplies.  This is exact, with no interpolation of the
+    shift.  The largest amplitude is that of max(Gaussian) times psi, as a
+    gather only permutes a column.
     """
     gd, gs = comp.device_grid, comp.system_grid
     r, r_frac = split_cells(g * gs.dx / gd.dx)
-    if r_frac != 0.0 or not isinstance(comp, ProductWaveFunction):
+    if r_frac != 0.0:
         return None
     m0, frac = split_cells(g * gs.x_min / gd.dx)
     env, psi = comp.env, comp.psi.amp
     if frac:
         env = gaussian_window(gd.x, frac * gd.dx, comp.delta_device)
         env = env / math.sqrt(float(np.sum(env**2)) * gd.dx)
-    _check_edges(_coupled_rows(env, psi, np.array([0, gd.n - 1]), m0, r), env.max() * psi)
-    return lambda rows: _coupled_rows(env, psi, rows, m0, r)
+    shifts = m0 + r * np.arange(psi.size)
+
+    def gather(rows: np.ndarray) -> np.ndarray:
+        return np.take(env, np.subtract.outer(rows, shifts), mode="wrap") * psi
+
+    _check_edges(gather(np.array([0, gd.n - 1])), env.max() * psi)
+    return gather
 
 
-def apply_interaction(comp: CompositeWaveFunction | ProductWaveFunction,
-                      g: float) -> CompositeWaveFunction:
-    """Impulsive coupling exp(-i*g*x_sys*p_dev): shifts the device by g*x_sys,
-    on every row of the device lattice.  A product on whole cells is one
-    gather (see ``_row_gather``); any other composite or lattice gets the
-    momentum-space phase in blocks of min(n, BLOCK) columns."""
+def apply_interaction(comp: ProductWaveFunction, g: float) -> CompositeWaveFunction:
+    """Impulsive coupling exp(-i*g*x_sys*p_dev) of the product that
+    ``make_composite`` returns: shifts the device by g*x_sys, on every row of
+    the device lattice.  On whole cells the gather of ``_row_gather`` fills
+    the n_d x n output BLOCK rows at a time; on any other lattice the
+    momentum-space phase runs in blocks of min(n, BLOCK) columns."""
     gd, gs = comp.device_grid, comp.system_grid
     gather = _row_gather(comp, g)
+    amp = np.empty((gd.n, gs.n), np.complex128)
     if gather is not None:
-        amp = gather(np.arange(gd.n))
+        for lo in range(0, gd.n, BLOCK):
+            amp[lo : lo + BLOCK] = gather(np.arange(lo, min(lo + BLOCK, gd.n)))
     else:
-        amp = np.empty((gd.n, gs.n), np.complex128)
         x, p = gd.x, gd.p
         for lo in range(0, gs.n, BLOCK):
             cols = slice(lo, lo + BLOCK)
-            phi = fourier_sum(comp.columns(cols), x, p, gd.dx / math.sqrt(TWO_PI), sign=-1, axis=0)
+            phi = np.outer(comp.env, comp.psi.amp[cols])
+            phi = fourier_sum(phi, x, p, gd.dx / math.sqrt(TWO_PI), sign=-1, axis=0)
             phi = phi * np.exp(-1j * g * np.outer(p, gs.x[cols]))
             amp[:, cols] = fourier_sum(phi, p, x, gd.dp / math.sqrt(TWO_PI), sign=+1, axis=0)
         _check_edges(amp[[0, -1]], amp)

@@ -597,3 +597,92 @@ class TestConfigFile:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text('{"x_min": -16, "x_max": 16, "bins": [16, 16]}')
         assert main(["state", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+
+
+class TestInputChecks:
+    """Bins, state files, headers and config files that end in one line."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--shots", "10", "--bins", "1", "1"],
+        ["--shots", "10", "--bins", "1", "32"],
+        ["--shots", "0", "--bins", "1", "1"],
+        ["--shots", "0", "--bins", "32", "1", "--format", "csv"],
+    ], ids=["one-by-one", "one-x-bin", "no-shots", "one-p-bin-csv"])
+    def test_single_bin_one_line_error_and_no_artifacts(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main(["sample", *argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [phaselab]: bins must be two positive integers")
+        assert err.count("\n") == 1
+        assert not (out / "records.csv").exists() and list(out.glob("histogram.*")) == []
+
+    def test_malformed_state_json_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        path.write_text('{"n": 16 "x_min": -4.0}')
+        out = tmp_path / "out"
+        assert main(["dist", "--state", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error [phaselab]: {path}: Expecting ',' delimiter: line 1 column 10 (char 9)\n")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("field, value, line", [
+        ("dx", True, "dx must be a number, got True"),
+        ("dx", None, "dx must be a number, got None"),
+        ("x_min", "-8", "x_min must be a number, got '-8'"),
+        ("x_min", 10**400, "x_min must be finite, got inf"),
+        ("dx", 0, "dx must be positive and finite, got 0.0"),
+    ], ids=["dx-bool", "dx-null", "x-min-string", "x-min-huge-integer", "dx-zero"])
+    def test_state_header_numbers(self, vacuum, tmp_path, field, value, line):
+        path = tmp_path / "state.json"
+        save_wavefunction(vacuum, path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), field: value}))
+        with pytest.raises(ValueError) as info:
+            load_wavefunction(path)
+        assert str(info.value) == f"{path}: {line}"
+
+    @pytest.mark.parametrize("field, value, line", [
+        ("dx", 0, "dx must be positive and finite, got 0.0"),
+        ("dx", -0.25, "dx must be positive and finite, got -0.25"),
+        ("dx", True, "dx must be a number, got True"),
+        ("dp", 0, "dp must be positive and finite, got 0.0"),
+        ("x_min", math.nan, "x_min must be finite, got nan"),
+        ("p_min", -math.inf, "p_min must be finite, got -inf"),
+        ("delta", "abc", "delta must be a number, got 'abc'"),
+        ("delta", -1, "delta must be positive and finite, got -1.0"),
+    ], ids=["dx-zero", "dx-negative", "dx-bool", "dp-zero", "x-min-nan", "p-min-infinite",
+            "delta-string", "delta-negative"])
+    def test_distribution_header_numbers(self, vacuum, tmp_path, field, value, line):
+        path = tmp_path / "q.json"
+        save_distribution(husimi(vacuum, 1.0), path, fmt="json")
+        path.write_text(json.dumps({**json.loads(path.read_text()), field: value}))
+        with pytest.raises(ValueError) as info:
+            load_distribution(path)
+        assert str(info.value) == f"{path}: {line}"
+
+    def test_distribution_delta_may_be_null(self, vacuum, tmp_path):
+        path = tmp_path / "q.json"
+        save_distribution(husimi(vacuum, 1.0), path, fmt="json")
+        path.write_text(json.dumps({**json.loads(path.read_text()), "delta": None}))
+        assert load_distribution(path).delta is None
+
+    @pytest.mark.parametrize("load, name, text, line", [
+        (load_distribution, "d.csv", "x,p,val\n0,0,1\n",
+         "expected CSV header 'x,p,value', got 'x,p,val'"),
+        (load_wavefunction, "s.csv", "x,p,value\n0,0,1\n",
+         "expected CSV header 'x,re,im', got 'x,p,value'"),
+    ], ids=["distribution", "state"])
+    def test_csv_header_mismatch_names_the_file(self, tmp_path, load, name, text, line):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load(path)
+        assert str(info.value) == f"{path}: {line}"
+
+    def test_config_array_one_line_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("[1, 2]")
+        out = tmp_path / "out"
+        assert main(["state", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error [cli]: config file {cfg_path}: a config file holds one JSON object\n")
+        assert not out.exists()

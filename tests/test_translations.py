@@ -227,3 +227,24 @@ KERNELS = {
 def test_kernel_peak_memory_by_row_blocks(name, n, domain, bound_mib):
     psi = coherent_state(make_grid(n, *domain), 0.5, -0.5, 1.0)
     assert traced_peak(lambda: KERNELS[name](psi)) < bound_mib * 2**20
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+@pytest.mark.parametrize("g, delta_device", [(1.0, 1.0), (0.5, 1.0), (0.08, 4.0)])
+def test_row_blocks_are_one_gather_of_every_row(domain, g, delta_device):
+    """``apply_interaction`` fills its output BLOCK rows at a time with the
+    bits of one gather of all n_d rows; no lattice here is whole blocks."""
+    psi = _state(make_grid(256, *domain))
+    dg = device_grid_for(psi.grid, CouplingSpec(g=g, delta_device=delta_device))
+    comp = make_composite(dg, delta_device, psi)
+    whole = pointer._row_gather(comp, g)(np.arange(dg.n))
+    assert dg.n % pointer.BLOCK and _same_bits(apply_interaction(comp, g).amp, whole)
+
+
+def test_apply_interaction_peak_memory_by_row_blocks():
+    # the 1976 x 1024 complex128 output is 31 MiB; the bound leaves room for
+    # a few BLOCK x n blocks, not for an n_d x n int64 index array (15 MiB)
+    psi = _state(make_grid(1024, -16.0, 16.0))
+    dg = device_grid_for(psi.grid, CouplingSpec(g=0.5))
+    comp = make_composite(dg, 1.0, psi)
+    assert traced_peak(lambda: apply_interaction(comp, 0.5)) < 40 * 2**20
