@@ -450,10 +450,15 @@ def save_json(doc: dict, path, **tables: np.ndarray) -> None:
 
 
 def load_json(path) -> dict:
+    """A file's one JSON object; a file that is not JSON, or holds another
+    value, is a ``ValueError`` that starts with ``path``."""
     try:
-        return json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text())
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: must hold one JSON object, got {json.dumps(doc)[:40]}")
+    return doc
 
 
 def save_wavefunction(psi: WaveFunction, path, fmt: str = "json", binary_sidecar: bool = False) -> None:
@@ -500,10 +505,18 @@ def _state(path, grid: Grid, basis: Basis, interleaved: np.ndarray) -> WaveFunct
     return WaveFunction(grid, basis, _complex(interleaved[0::2], interleaved[1::2]))
 
 
+def _check_state_size(path, n: int) -> None:
+    """``check_grid_size`` of a state file's n, its error starting with ``path``."""
+    try:
+        check_grid_size(n)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _state_from_rows(path, blocks) -> WaveFunction:
     table = np.concatenate(list(blocks))
     xs = table[:, 0]
-    check_grid_size(xs.size)
+    _check_state_size(path, xs.size)
     dx = float(xs[1] - xs[0])
     if not (dx > 0.0 and np.all(np.abs(np.diff(xs) - dx) <= _SPACING_RTOL * dx)):
         raise ValueError(f"{path}: x column must be uniform and increasing")
@@ -529,7 +542,7 @@ def load_wavefunction(path) -> WaveFunction:
         raise ValueError(f"{path}: state header lacks or mistypes a field: {exc}") from None
     grid = Grid(n=n, x_min=_header_number(path, "x_min", x_min),
                 dx=_header_number(path, "dx", dx, positive=True))
-    check_grid_size(n)
+    _check_state_size(path, n)
     if amp_file is not None:
         interleaved = _sidecar(path, amp_file, n)
     elif isinstance(amp, list) and len(amp) == 2 * n and all(type(v) in (int, float) for v in amp):
@@ -688,7 +701,6 @@ def load_distribution(path) -> PhaseSpaceGrid:
         raise ValueError(f"{path}: distribution header lacks or mistypes field {exc}") from None
     x_min, dx = _header_number(path, "x_min", x_min), _header_number(path, "dx", dx, positive=True)
     p_min, dp = _header_number(path, "p_min", p_min), _header_number(path, "dp", dp, positive=True)
-    x, p = x_min + dx * np.arange(n), p_min + dp * np.arange(n_p)
     delta = doc.get("delta")
     if delta is not None:
         delta = _header_number(path, "delta", delta, positive=True)
@@ -699,9 +711,10 @@ def load_distribution(path) -> PhaseSpaceGrid:
     except ValueError as exc:
         raise ValueError(f"{path}: values must be rows of numbers of one length: {exc}") from None
     values = values.astype(np.float64, copy=False)
-    if values.shape != (n, p.size):
+    if values.shape != (n, n_p):
         raise ValueError(f"{path}: values shape {values.shape} does not match n = {n} "
-                         f"rows of {p.size}")
+                         f"rows of {n_p}")
+    x, p = x_min + dx * np.arange(n), p_min + dp * np.arange(n_p)
     return PhaseSpaceGrid(x=x, p=p, kind=kind, values=values, delta=delta)
 
 

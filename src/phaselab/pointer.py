@@ -13,8 +13,7 @@ by one gather of the device Gaussian (see ``_row_gather``).
 and reads out and compares each block as it goes, so its memory does not grow
 with the device lattice.  ``apply_interaction`` takes the product that
 ``make_composite`` returns and fills its n_d x n output BLOCK rows at a time
-by the same gather; only on a device lattice that does not move each column
-by whole cells does it run the momentum-space phase.
+by the same gather, on every device lattice.
 """
 
 from __future__ import annotations
@@ -41,9 +40,11 @@ from .core import (
 from .measurement import successive_density
 from .phasespace import DistributionKind, PhaseSpaceGrid
 
-# Most cells n_d x min(n, BLOCK) of a default device lattice: 1 GiB as
-# complex128.  The gather's blocks are BLOCK x n whatever n_d is; the cap keeps
-# n_d, and with it the device Gaussian and a whole ``apply_interaction``, finite.
+# Most cells n_d x min(n, BLOCK) of a default device lattice, so at most
+# 2**26 / min(n, BLOCK) device rows.  The gather's blocks are BLOCK x n whatever
+# n_d is; the cap keeps n_d, and with it the device Gaussian (2 n_d floats per
+# column offset, one offset on a default lattice) and a whole
+# ``apply_interaction`` (n_d x n), finite.
 MAX_DEVICE_CELLS = 2**26
 
 
@@ -86,7 +87,7 @@ class ProductWaveFunction:
     """The composite before the coupling, held as its two factors: the device
     Gaussian ``env`` of ``make_composite`` and the system state ``psi``
     (position basis).  ``amp`` forms their n_d x n product each time it is
-    read; the coupling takes its rows or columns from the factors instead."""
+    read; the coupling takes its rows from the factors instead."""
 
     device_grid: Grid
     env: np.ndarray
@@ -139,70 +140,64 @@ def make_composite(device_grid: Grid, delta: float, psi: WaveFunction) -> Produc
     return ProductWaveFunction(device_grid, env, as_position(psi), float(delta))
 
 
-def _check_edges(edge_rows: np.ndarray, amp: np.ndarray):
-    """Refuse a coupled composite whose two edge rows are not negligible beside
-    the largest amplitude, that of ``amp``."""
-    edge, peak = (float(np.max(np.abs(a))) for a in (edge_rows, amp))
+def _row_gather(comp: ProductWaveFunction, g: float):
+    """The rows of the coupled composite exp(-i*g*x_sys*p_dev)|comp> as a
+    function of the row indices, once the shifted device Gaussian is known to
+    stay off the device grid edges.
+
+    Column k moves by c + r*k device cells, c = g*x_min/dx_dev and
+    r = g*dx/dx_dev, split into shift_k whole cells and a fraction frac_k in
+    [0, 1).  Row i, column k is the device Gaussian at
+    x_(i - shift_k mod n_d) - frac_k*dx_dev times psi_k, multiplied as
+    ``np.outer`` multiplies.  That Gaussian is sampled once per distinct
+    fraction (``env`` itself for 0), normalised, and stored twice in a row,
+    so row i of column k sits at base_k + i with no modulo.  This is exact,
+    with no interpolation of the shift; ``device_grid_for`` gives r = 1 and
+    one fraction.  The largest amplitude of a column is max(its Gaussian)
+    times psi_k, as a gather only permutes a column.
+    """
+    gd, gs = comp.device_grid, comp.system_grid
+    r, r_frac = split_cells(g * gs.dx / gd.dx)
+    m0, f = split_cells(g * gs.x_min / gd.dx)
+    psi, k = comp.psi.amp, np.arange(gs.n)
+    carry, fracs = np.divmod(f + r_frac * k, 1.0)
+    fracs, which = np.unique(fracs, return_inverse=True)
+    samples = np.empty((fracs.size, 2, gd.n))
+    for sample, frac in zip(samples, fracs):
+        if frac:
+            env = gaussian_window(gd.x, frac * gd.dx, comp.delta_device)
+            np.divide(env, math.sqrt(float(np.sum(env**2)) * gd.dx), out=sample[0])
+        else:
+            sample[0] = comp.env
+        sample[1] = sample[0]
+    sample_max = samples[:, 0].max(axis=1)
+    shifts = m0 + r * k + carry.astype(np.int64)
+    base = which * 2 * gd.n + (-shifts) % gd.n
+    samples = samples.reshape(-1)
+
+    def gather(rows: np.ndarray) -> np.ndarray:
+        return samples[np.add.outer(rows, base)] * psi
+
+    edge = float(np.max(np.abs(gather(np.array([0, gd.n - 1])))))
+    peak = float(np.max(np.abs(sample_max[which] * psi)))
     if edge > 1e-10 * peak:
         raise EnvelopeError(
             f"shifted device envelope reaches the device grid edge (relative edge "
             f"amplitude {edge / peak:.3g}); widen the device grid"
         )
-
-
-def _row_gather(comp: ProductWaveFunction, g: float):
-    """The rows of the coupled composite exp(-i*g*x_sys*p_dev)|comp> as a
-    function of the row indices, once the shifted device Gaussian is known to
-    stay off the device grid edges; None off whole cells.
-
-    Column k moves by c + r*k device cells, c = g*x_min/dx_dev = m0 + f and
-    r = g*dx/dx_dev (``device_grid_for`` gives r = 1).  Where r is whole
-    (within 1e-9), row i, column k is the device Gaussian at
-    x_(i - m0 - r*k) - f*dx_dev times psi_k, that Gaussian sampled once
-    (``env`` itself when f = 0) and gathered mod n_d, multiplied as
-    ``np.outer`` multiplies.  This is exact, with no interpolation of the
-    shift.  The largest amplitude is that of max(Gaussian) times psi, as a
-    gather only permutes a column.
-    """
-    gd, gs = comp.device_grid, comp.system_grid
-    r, r_frac = split_cells(g * gs.dx / gd.dx)
-    if r_frac != 0.0:
-        return None
-    m0, frac = split_cells(g * gs.x_min / gd.dx)
-    env, psi = comp.env, comp.psi.amp
-    if frac:
-        env = gaussian_window(gd.x, frac * gd.dx, comp.delta_device)
-        env = env / math.sqrt(float(np.sum(env**2)) * gd.dx)
-    shifts = m0 + r * np.arange(psi.size)
-
-    def gather(rows: np.ndarray) -> np.ndarray:
-        return np.take(env, np.subtract.outer(rows, shifts), mode="wrap") * psi
-
-    _check_edges(gather(np.array([0, gd.n - 1])), env.max() * psi)
     return gather
 
 
 def apply_interaction(comp: ProductWaveFunction, g: float) -> CompositeWaveFunction:
     """Impulsive coupling exp(-i*g*x_sys*p_dev) of the product that
     ``make_composite`` returns: shifts the device by g*x_sys, on every row of
-    the device lattice.  On whole cells the gather of ``_row_gather`` fills
-    the n_d x n output BLOCK rows at a time; on any other lattice the
-    momentum-space phase runs in blocks of min(n, BLOCK) columns."""
+    the device lattice, which the gather of ``_row_gather`` fills BLOCK rows
+    at a time."""
     gd, gs = comp.device_grid, comp.system_grid
     gather = _row_gather(comp, g)
     amp = np.empty((gd.n, gs.n), np.complex128)
-    if gather is not None:
-        for lo in range(0, gd.n, BLOCK):
-            amp[lo : lo + BLOCK] = gather(np.arange(lo, min(lo + BLOCK, gd.n)))
-    else:
-        x, p = gd.x, gd.p
-        for lo in range(0, gs.n, BLOCK):
-            cols = slice(lo, lo + BLOCK)
-            phi = np.outer(comp.env, comp.psi.amp[cols])
-            phi = fourier_sum(phi, x, p, gd.dx / math.sqrt(TWO_PI), sign=-1, axis=0)
-            phi = phi * np.exp(-1j * g * np.outer(p, gs.x[cols]))
-            amp[:, cols] = fourier_sum(phi, p, x, gd.dp / math.sqrt(TWO_PI), sign=+1, axis=0)
-        _check_edges(amp[[0, -1]], amp)
+    for lo in range(0, gd.n, BLOCK):
+        amp[lo : lo + BLOCK] = gather(np.arange(lo, min(lo + BLOCK, gd.n)))
     return CompositeWaveFunction(gd, gs, amp, comp.delta_device)
 
 

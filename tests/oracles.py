@@ -290,6 +290,15 @@ def apply_interaction_reference(comp, g):
     return fourier_sum(phi, gd.p, gd.x, gd.dp / np.sqrt(2.0 * np.pi), sign=+1, axis=0)
 
 
+def apply_interaction_sampled(comp, g):
+    """Coupled composite amplitudes of a product ``make_composite`` returns,
+    with no lattice translation: every column's device Gaussian sampled at
+    x_dev - g*x_sys and normalised on the device lattice."""
+    gd, gs = comp.device_grid, comp.system_grid
+    env = np.exp(-((gd.x[:, None] - g * gs.x) ** 2) / (2.0 * comp.delta_device))
+    return env / np.sqrt(np.sum(env**2, axis=0) * gd.dx) * comp.psi.amp
+
+
 def characteristic_reference(psi, s, v=None):
     """w(u, v, s) values as first written: every row psi(x - v_m) by its own
     momentum-space phase, then dense exp(outer) chirp and s-Gaussian.  The v

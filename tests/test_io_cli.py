@@ -473,8 +473,11 @@ class TestBadInput:
         ("json", lambda doc: {**doc, "n": doc["n"] + 0.9}),
         ("json", lambda doc: {**doc, "n": str(doc["n"])}),
         ("json", lambda doc: {**doc, "amp": [10**400, *doc["amp"][1:]]}),
+        ("json", lambda doc: {**doc, "n": 8}),
+        ("csv", lambda text: "".join(text.splitlines(keepends=True)[:3])),
     ], ids=["dx-negative", "dx-nan", "dx-zero", "x-min-infinite", "json-amp-nan", "amp-odd-length",
-            "amp-string-cell", "csv-amp-nan", "n-not-integer", "n-string", "amp-huge-integer"])
+            "amp-string-cell", "csv-amp-nan", "n-not-integer", "n-string", "amp-huge-integer",
+            "n-not-power-of-two", "csv-two-rows"])
     def test_bad_state_file_one_line_error(self, vacuum, tmp_path, capsys, fmt, edit):
         path = tmp_path / f"state.{fmt}"
         save_wavefunction(vacuum, path, fmt=fmt)
@@ -524,12 +527,19 @@ class TestCmdReport:
         assert capsys.readouterr().out == text
 
     def test_malformed_report_file_one_line_error(self, tmp_path, capsys):
-        path = tmp_path / "x.report.json"
-        path.write_text("{bad")
-        assert main(["report", "--out", str(tmp_path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error [phaselab]: {path}: Expecting property name ")
-        assert err.count("\n") == 1
+        for out, name, text, line in [
+            ("not-json", "x.report.json", "{bad", "Expecting property name "),
+            ("array", "x.report.json", "[1, 2]", "must hold one JSON object, got [1, 2]"),
+            ("string", "x.summary.json", '"PASS"', 'must hold one JSON object, got "PASS"'),
+            ("null", "x.report.json", "null", "must hold one JSON object, got null"),
+        ]:
+            (tmp_path / out).mkdir()
+            path = tmp_path / out / name
+            path.write_text(text)
+            assert main(["report", "--out", str(tmp_path / out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error [phaselab]: {path}: {line}")
+            assert err.count("\n") == 1
 
 
 class TestConfigFile:

@@ -190,6 +190,8 @@ EDGES = {
     "word-cell": TEXT.replace("3.0", '"a"'),
     "null-cell": TEXT.replace("3.0", "null"),
     "n-disagrees": TEXT.replace('"n": 2', '"n": 3'),
+    "n-terabytes": TEXT.replace('"n": 2', '"n": 1099511627776'),
+    "n-beyond-int64": TEXT.replace('"n": 2', f'"n": {10**30}'),
     "repeated-values": TEXT.replace('"x_min"', '"values": null, "x_min"'),
     "repeated-values-after": TEXT.replace('"dp"', '"values": [[9.5, 9.5, 9.5]], "dp"'),
     "nested-values": TEXT.replace('"delta": null', '"delta": null, "meta": {"values": [[9.5]]}'),
@@ -225,6 +227,8 @@ def test_edge_documents_read_as_json_loads_reads_them(tmp_path, name, monkeypatc
     ("string-cell", "values must be rows of numbers of one length"),
     ("null-cell", "values must be rows of numbers of one length"),
     ("n-disagrees", r"values shape \(2, 3\) does not match n = 3 rows of 3"),
+    ("n-terabytes", r"values shape \(2, 3\) does not match n = 1099511627776 rows of 3"),
+    ("n-beyond-int64", rf"values shape \(2, 3\) does not match n = {10**30} rows of 3"),
 ])
 def test_bad_tables_name_the_file(tmp_path, name, message):
     path = tmp_path / "bad.json"

@@ -72,14 +72,39 @@ class TestAgainstPhaseKernels:
         assert _rel(cg.values, oracles.characteristic_reference(psi, s, v=v)) <= 1e-9
 
 
-def test_non_commensurate_coupling_is_the_phase_kernel(grid, rng):
+def test_non_commensurate_coupling_is_the_sampled_shift(grid, rng):
+    """Where r = g*dx/dx_dev is not whole the gather samples the device
+    Gaussian at x_dev - g*x_sys itself: within round-off of that sampling
+    (the momentum-phase kernel read 2.7e-12 here) and within 1e-9 of the
+    momentum-phase kernel."""
     from conftest import random_state
 
     dev = make_grid(512, -32.0, 32.0)
     comp = make_composite(dev, 1.0, random_state(grid, rng))
-    for g in (0.3, 0.75, 1.3):
-        assert np.array_equal(apply_interaction(comp, g).amp,
-                              oracles.apply_interaction_reference(comp, g))
+    for g in (0.05, 0.3, 0.75, 1.3, 1.9):
+        amp = apply_interaction(comp, g).amp
+        assert _rel(amp, oracles.apply_interaction_reference(comp, g)) <= 1e-9
+        assert _rel(amp, oracles.apply_interaction_sampled(comp, g)) <= 1e-14
+
+
+def test_non_commensurate_coupling_never_uses_fourier_sum(grid, monkeypatch, rng):
+    from conftest import random_state
+
+    def disabled(*args, **kwargs):
+        raise AssertionError("the coupling called fourier_sum")
+
+    comp = make_composite(make_grid(512, -32.0, 32.0), 1.0, random_state(grid, rng))
+    monkeypatch.setattr(pointer, "fourier_sum", disabled)
+    for g in (0.05, 0.3, 1.3):
+        assert _rel(apply_interaction(comp, g).amp, oracles.apply_interaction_sampled(comp, g)) <= 1e-14
+
+
+@pytest.mark.parametrize("g", [0.05, 1.3])
+def test_non_commensurate_coupling_peak_memory(grid, g):
+    # the 4096 x 256 complex128 output is 16 MiB; the momentum-phase kernel in
+    # column blocks peaked at 40.3 MiB
+    comp = make_composite(make_grid(4096, -32.0, 32.0), 1.0, _state(grid))
+    assert traced_peak(lambda: apply_interaction(comp, g)) < 28 * 2**20
 
 
 def test_pointer_peak_memory():
