@@ -29,11 +29,12 @@ mantissa is a power of two, whose gap below is half the gap above.
 A distribution file is read back from one open handle, one block at a time,
 so that beside the n x n values only one block of text and of parsed rows is
 live.  A CSV table goes through ``np.loadtxt`` CHUNK_ROWS lines at a time,
-and each whole x row is checked as it arrives.  A JSON document is read in
-blocks of bytes and its ``values`` table row by row, each row decoded by
-``json.loads`` into one float64 array; the table is split at the writer's
-``], [`` separators, and taken only where every row is a flat float array of
-one length.  Any other JSON document goes through ``json.loads`` whole.
+and each whole x row is checked as it arrives.  A JSON document is read as
+one stream of text split at each ``]``, and its ``values`` table row by row,
+each row decoded by ``json.loads`` into one float64 array; the table is taken
+only where the pieces follow the writer's ``], [`` separators and every row
+is a flat float array of one length.  Any other JSON document goes through
+``json.loads`` whole, in ``load_json``, whose errors name the file.
 
 Layouts:
 
@@ -78,9 +79,9 @@ _SPACING_RTOL = 1e-6
 _FIELD = 24
 
 # What opens the table of a distribution JSON document, as the writer lays it out.
-_VALUES_KEY = b'"values": '
+_VALUES_KEY = '"values": [['
 
-# Bytes of a distribution JSON document read per block: CHUNK_ROWS cells of text.
+# Characters of a distribution JSON document read per block: CHUNK_ROWS cells of text.
 _READ_BYTES = CHUNK_ROWS * _FIELD
 
 # Decisions this close to their boundary (in units of the 17th digit; relative
@@ -391,13 +392,17 @@ def _csv_blocks(path: Path, fh, width: int):
 
 
 def _table_or_doc(path: Path, header: str, from_rows):
-    """The decoded JSON document, or for a CSV file (named ``*.csv`` or with a
-    first line starting ``x,``) ``from_rows`` of the blocks of float rows after
-    this header line, read one block at a time."""
+    """``load_json`` of a JSON file, or for a CSV file (named ``*.csv`` or
+    starting ``x,``) ``from_rows`` of the blocks of float rows after this
+    header line, read one block at a time."""
+    with path.open("rb") as fh:
+        if path.suffix != ".csv" and fh.read(2) != b"x,":
+            return load_json(path)
     with path.open() as fh:
-        first = fh.readline()
-        if path.suffix != ".csv" and not first.startswith("x,"):
-            return json.loads(first + fh.read())
+        try:
+            first = fh.readline()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: malformed CSV: {exc}") from None
         if first.rstrip("\r\n") != header:
             raise ValueError(f"{path}: expected CSV header {header!r}, got {first.strip()!r}")
         return from_rows(_csv_blocks(path, fh, header.count(",") + 1))
@@ -526,10 +531,7 @@ def _state_from_rows(path, blocks) -> WaveFunction:
 
 def load_wavefunction(path) -> WaveFunction:
     path = Path(path)
-    try:
-        header = _table_or_doc(path, "x,re,im", functools.partial(_state_from_rows, path))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    header = _table_or_doc(path, "x,re,im", functools.partial(_state_from_rows, path))
     if isinstance(header, WaveFunction):
         return header
     try:
@@ -613,70 +615,63 @@ def _without_repeats(pairs):
     return doc
 
 
+def _pieces(fh, sep: str):
+    """The text of the open text handle ``fh`` between successive ``sep``, read
+    _READ_BYTES characters at a time; a piece's parts are joined once, at its
+    ``sep``."""
+    parts = []
+    while chunk := fh.read(_READ_BYTES):
+        first, *rest = chunk.split(sep)
+        parts.append(first)
+        if rest:
+            yield "".join(parts)
+            yield from rest[:-1]
+            parts = [rest[-1]]
+    yield "".join(parts)
+
+
 def _distribution_doc(path: Path):
     """The decoded distribution JSON document with its ``values`` table read
-    one row at a time, in blocks of _READ_BYTES bytes, or None where this
+    one row at a time from the file's pieces between ``]``, or None where this
     route cannot show that ``json.loads`` gives the same document.
 
-    The head runs up to the writer's ``"values": [[``.  Each row, from its
-    ``[`` to the first ``]`` after it, is decoded by ``json.loads`` from its
-    ASCII text and must be a flat float64 array of the first row's length,
-    followed by the writer's ``, [`` or, closing the table, by ``]``.  An
-    accepted row holds no bracket, so these are the rows that ``json.loads``
-    reads, and the first ``]]`` closes the table in its parse too.  With
-    ``null`` in the table's place, the head closed by ``}`` must decode to an
-    object whose last key is "values", so the table is the top-level "values"
-    field, not one in a nested object or inside a string; and the head and the
-    tail after the table must decode with no repeated key."""
-    key = _VALUES_KEY + b"[["
-    with path.open("rb") as fh:
-        buf, at = bytearray(), -1
-        while at < 0:
-            chunk = fh.read(_READ_BYTES)
-            start = max(0, len(buf) - len(key) + 1)
-            buf += chunk
-            if not chunk or buf.startswith(b"x,"):
-                return None
-            at = buf.find(key, start)
-        head = buf[:at]
-        if not head.isascii():
-            return None
-        head = head.decode() + '"values": null'
-        try:
-            pairs = json.loads(head + "}", object_pairs_hook=list)
-        except ValueError:
-            return None
-        if pairs[-1:] != [("values", None)]:
-            return None
-        rows, a = [], at + len(key) - 1  # a: the '[' that opens a row
-        while True:
-            b = buf.find(b"]", a)
-            if (b < 0 or len(buf) < b + 4) and (chunk := fh.read(_READ_BYTES)):
-                del buf[:a]
-                buf += chunk
-                a = 0
-                continue
-            if b < 0:
-                return None
-            try:
-                row = np.asarray(json.loads(buf[a : b + 1].decode("ascii")))
-            except ValueError:  # not ASCII or not JSON
-                return None
-            if row.dtype != np.float64 or row.shape != (rows[0] if rows else row).shape:
-                return None
-            rows.append(row)
-            after = buf[b + 1 : b + 4]
-            if after[:1] == b"]":
-                break
-            if after != b", [":
-                return None
-            a = b + 3
-        tail = buf[b + 2 :] + fh.read()
-    if not tail.isascii():
-        return None
+    The first piece runs up to the writer's ``"values": [[`` and holds the
+    first row; each later piece must be the writer's ``, [`` and a row, until
+    the empty piece inside the table's closing ``]]``.  Each row, decoded by
+    ``json.loads`` with its brackets, must be a flat float64 array of the
+    first row's length; it holds no ``]``, so these are the rows that
+    ``json.loads`` reads, and the first ``]]`` closes the table in its parse
+    too.  With ``null`` in the table's place, the head closed by ``}`` must
+    decode to an object whose last key is "values", so the table is the
+    top-level "values" field, not one in a nested object or inside a string;
+    and the head and the tail after the table must decode with no repeated
+    key."""
     try:
-        doc = json.loads(head + tail.decode(), object_pairs_hook=_without_repeats)
-    except ValueError:
+        with path.open() as fh:
+            if fh.read(2) == "x,":
+                return None
+            fh.seek(0)
+            pieces = _pieces(fh, "]")
+            head, key, text = next(pieces).partition(_VALUES_KEY)
+            if not key:
+                return None
+            head += '"values": null'
+            if json.loads(head + "}", object_pairs_hook=list)[-1:] != [("values", None)]:
+                return None
+            rows = []
+            for text in itertools.chain([", [" + text], pieces):
+                if not text:  # between the table's closing ']]'
+                    break
+                if not text.startswith(", ["):
+                    return None
+                row = np.asarray(json.loads(text[2:] + "]"))
+                if row.dtype != np.float64 or row.shape != (rows[0] if rows else row).shape:
+                    return None
+                rows.append(row)
+            else:  # the file ends inside the table
+                return None
+            doc = json.loads(head + "]".join(pieces), object_pairs_hook=_without_repeats)
+    except ValueError:  # a byte that does not decode, or text that is not JSON
         return None
     doc["values"] = np.stack(rows)
     return doc

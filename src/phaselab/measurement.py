@@ -248,10 +248,6 @@ def sample_joint(
     x_edges = np.linspace(g.x[0] - g.dx / 2.0, g.x[-1] + g.dx / 2.0, nx_bins + 1)
     p_edges = np.linspace(g.p[0] - g.dp / 2.0, g.p[-1] + g.dp / 2.0, np_bins + 1)
 
-    if shots == 0:
-        hist = _histogram(np.zeros((nx_bins, np_bins)), x_edges, p_edges, 0)
-        return SampleResult(x=np.empty(0), p=np.empty(0), histogram=hist, rejected=0)
-
     px = m_density(pos, delta)
     n_chunks = (shots + CHUNK - 1) // CHUNK
     sizes = [min(CHUNK, shots - c * CHUNK) for c in range(n_chunks)]

@@ -15,6 +15,7 @@ import oracles
 from conftest import traced_peak
 from phaselab import coherent_state, make_grid, superpose, wigner
 from phaselab import io as plio
+from phaselab.phasespace import DistributionKind, PhaseSpaceGrid
 
 HEADER = {"delta": None, "dp": 0.5, "dx": 0.25, "kind": "wigner", "p_min": -1.0, "x_min": -0.5}
 TABLE = np.array([[0.5, -1.25, 3.0], [1e-05, 2.5, -0.0]])
@@ -81,7 +82,7 @@ def test_reload_peak_memory(tmp_path, spaces, written_n1024):
     # each cell's separator widened, each row's '], [' kept
     text = (written_n1024[1] / "w.json").read_bytes().replace(b", ", spaces)
     path.write_bytes(text.replace(b"]" + spaces + b"[", b"], ["))
-    assert traced_peak(lambda: plio.load_distribution(path)) < 40 * 2**20
+    assert traced_peak(lambda: plio.load_distribution(path)) < 20 * 2**20
 
 
 def test_csv_reload_peak_memory(written_n1024):
@@ -137,12 +138,49 @@ def _variants():
 @pytest.mark.parametrize("name, text", list(_variants()), ids=[name for name, _ in _variants()])
 def test_documents_read_as_before(tmp_path, name, text):
     """The same grid as the json.loads reader before, or the same exception
-    type and message."""
+    type and message; a document that is not JSON is a ValueError naming the
+    file, with the message of json.loads."""
     path = tmp_path / "d.json"
     path.write_text(text)
     _fast_route_agrees(path)
-    assert _outcome(plio.load_distribution, path) == _outcome(oracles.load_distribution_json_reference,
-                                                             path)
+    want = _outcome(oracles.load_distribution_json_reference, path)
+    if want[1] and want[1][0] is json.JSONDecodeError:
+        want = None, (ValueError, f"{path}: {want[1][1]}")
+    assert _outcome(plio.load_distribution, path) == want
+
+
+def test_misnamed_csv_reads_as_csv(tmp_path, monkeypatch):
+    """A distribution CSV under another name is declined by the row route at
+    its ``x,``, before any of it is split, and reads as the same file named
+    ``*.csv``."""
+    dist = PhaseSpaceGrid(x=np.array([0.0, 1.0]), p=np.array([0.0, 0.5, 1.0]),
+                          kind=DistributionKind.HISTOGRAM, values=np.arange(6.0).reshape(2, 3))
+    plio.save_distribution(dist, tmp_path / "d.csv")
+    path = tmp_path / "d.json"
+    path.write_bytes((tmp_path / "d.csv").read_bytes())
+    with monkeypatch.context() as m:
+        m.setattr(plio, "_pieces", None)
+        assert plio._distribution_doc(path) is None
+    assert _outcome(plio.load_distribution, path) == _outcome(plio.load_distribution,
+                                                             tmp_path / "d.csv")
+
+
+@pytest.mark.parametrize("name, data, message", [
+    ("header.json", TEXT.encode().replace(b"wigner", b"wig\xffner"), "'utf-8' codec can't decode"),
+    ("table.json", TEXT.encode().replace(b"2.5", b"2.5\xff"), "'utf-8' codec can't decode"),
+    ("cut.json", b'{"n": 2, "values": [[0.5, 1.0], [2.0',
+     "Expecting ',' delimiter: line 1 column 37 (char 36)"),
+    ("header.csv", b"x,p,v\xffalue\n0,0,1\n", "malformed CSV: 'utf-8' codec can't decode"),
+    ("rows.csv", b"x,p,value\n0,0,1\n0,1,\xff2\n", "malformed CSV: 'utf-8' codec can't decode"),
+])
+def test_decode_errors_name_the_file(tmp_path, name, data, message):
+    """Bytes that are not UTF-8, and a document cut inside its table, are a
+    ValueError whose message starts with the path."""
+    path = tmp_path / name
+    path.write_bytes(data)
+    with pytest.raises(ValueError) as info:
+        plio.load_distribution(path)
+    assert type(info.value) is ValueError and str(info.value).startswith(f"{path}: {message}")
 
 
 # Cells, whitespace and row separators that JSON reads or refuses, and
@@ -201,6 +239,8 @@ EDGES = {
     "byte-order-mark": "﻿" + TEXT,
     "non-ascii-header": TEXT.replace('"x_min"', '"é": 1, "x_min"'),
     "truncated": TEXT[:-3],
+    "cut-in-row": TEXT[: TEXT.index(", 2.5")],
+    "cut-in-table": TEXT[: TEXT.index("]]")],
     "trailing-data": TEXT + "[]",
     "array-document": "[" + TEXT.strip() + "]",
     "n-float": TEXT.replace('"n": 2', '"n": 2.5'),
