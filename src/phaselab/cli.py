@@ -285,8 +285,8 @@ def cmd_report(cfg: RunConfig) -> tuple:
         name: bool(doc.get("pass", True) and doc.get("status", "PASS") != "FAIL")
         for name, doc in docs.items()
     }
-    print(plio.save_report(verdicts, out), end="")
-    ok = bool(verdicts) and all(verdicts.values())
+    ok = bool(verdicts) and all(verdicts.values())  # a directory without sources fails
+    print(plio.save_report(verdicts, ok, out), end="")
     return "report.json", {"sources": docs, "pass": ok}, ok
 
 

@@ -26,7 +26,9 @@ Python's own formatter instead when any of these decisions falls within 1e-9
 which covers exact ties; when it is not finite; and, for repr, when its
 mantissa is a power of two, whose gap below is half the gap above.
 
-A distribution file is read back from one open handle, one block at a time,
+A state or distribution file is CSV if it is named ``*.csv`` or its first two
+bytes are ``x,``, and JSON otherwise; ``_is_csv`` alone decides this.  A
+distribution file is read back from one open handle, one block at a time,
 so that beside the n x n values only one block of text and of parsed rows is
 live.  A CSV table goes through ``np.loadtxt`` CHUNK_ROWS lines at a time,
 and each whole x row is checked as it arrives.  A JSON document is read as
@@ -371,33 +373,19 @@ def _write_json_rows(fh, table: np.ndarray) -> None:
         fh.write(text[2:] if start == 0 else text)  # every row opens with ", ["
 
 
-def _csv_blocks(path: Path, fh, width: int):
-    """The float rows left in the open CSV text handle ``fh``, CHUNK_ROWS rows
-    at a time; blank and ``#`` comment lines are skipped, as ``np.loadtxt``
-    skips them."""
-    for count in itertools.count():
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # no rows left: loadtxt warns
-                block = np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2,
-                                   max_rows=CHUNK_ROWS)
-        except ValueError as exc:
-            raise ValueError(f"{path}: malformed CSV: {exc}") from None
-        if block.shape[1] != width and (block.size or count == 0):
-            raise ValueError(f"{path}: expected rows of {width} numbers, got shape {block.shape}")
-        if block.size:
-            yield block
-        if block.shape[0] < CHUNK_ROWS:
-            return
-
-
-def _table_or_doc(path: Path, header: str, from_rows):
-    """``load_json`` of a JSON file, or for a CSV file (named ``*.csv`` or
-    starting ``x,``) ``from_rows`` of the blocks of float rows after this
-    header line, read one block at a time."""
+def _is_csv(path: Path) -> bool:
+    """Whether a table file is CSV (named ``*.csv`` or starting ``x,``), for every reader."""
+    if path.suffix == ".csv":
+        return True
     with path.open("rb") as fh:
-        if path.suffix != ".csv" and fh.read(2) != b"x,":
-            return load_json(path)
+        return fh.read(2) == b"x,"
+
+
+def _csv_blocks(path: Path, header: str):
+    """The float rows of the CSV file ``path`` after its ``header`` line,
+    CHUNK_ROWS rows at a time; blank and ``#`` comment lines are skipped, as
+    ``np.loadtxt`` skips them."""
+    width = header.count(",") + 1
     with path.open() as fh:
         try:
             first = fh.readline()
@@ -405,7 +393,20 @@ def _table_or_doc(path: Path, header: str, from_rows):
             raise ValueError(f"{path}: malformed CSV: {exc}") from None
         if first.rstrip("\r\n") != header:
             raise ValueError(f"{path}: expected CSV header {header!r}, got {first.strip()!r}")
-        return from_rows(_csv_blocks(path, fh, header.count(",") + 1))
+        for count in itertools.count():
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # no rows left: loadtxt warns
+                    block = np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2,
+                                       max_rows=CHUNK_ROWS)
+            except ValueError as exc:
+                raise ValueError(f"{path}: malformed CSV: {exc}") from None
+            if block.shape[1] != width and (block.size or count == 0):
+                raise ValueError(f"{path}: expected rows of {width} numbers, got shape {block.shape}")
+            if block.size:
+                yield block
+            if block.shape[0] < CHUNK_ROWS:
+                return
 
 
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -470,6 +471,8 @@ def save_wavefunction(psi: WaveFunction, path, fmt: str = "json", binary_sidecar
     path = Path(path)
     g = psi.grid
     if fmt == "csv":
+        if binary_sidecar:
+            raise ValueError("a binary sidecar goes with JSON wavefunction files only")
         if psi.basis is not Basis.POSITION:
             raise ValueError("CSV wavefunction files carry position-basis states only")
         _write_csv(path, "x,re,im", (g.x, psi.amp.real, psi.amp.imag))
@@ -531,9 +534,9 @@ def _state_from_rows(path, blocks) -> WaveFunction:
 
 def load_wavefunction(path) -> WaveFunction:
     path = Path(path)
-    header = _table_or_doc(path, "x,re,im", functools.partial(_state_from_rows, path))
-    if isinstance(header, WaveFunction):
-        return header
+    if _is_csv(path):
+        return _state_from_rows(path, _csv_blocks(path, "x,re,im"))
+    header = load_json(path)
     try:
         n = _header_n(header["n"])
         x_min, dx = header["x_min"], header["dx"]
@@ -648,9 +651,6 @@ def _distribution_doc(path: Path):
     key."""
     try:
         with path.open() as fh:
-            if fh.read(2) == "x,":
-                return None
-            fh.seek(0)
             pieces = _pieces(fh, "]")
             head, key, text = next(pieces).partition(_VALUES_KEY)
             if not key:
@@ -682,11 +682,9 @@ def load_distribution(path) -> PhaseSpaceGrid:
     document's ``values`` table row by row where ``_distribution_doc`` can,
     with the same result, and a CSV table CHUNK_ROWS lines at a time."""
     path = Path(path)
-    doc = None if path.suffix == ".csv" else _distribution_doc(path)
-    if doc is None:
-        doc = _table_or_doc(path, "x,p,value", functools.partial(_distribution_from_rows, path))
-    if isinstance(doc, PhaseSpaceGrid):
-        return doc
+    if _is_csv(path):
+        return _distribution_from_rows(path, _csv_blocks(path, "x,p,value"))
+    doc = _distribution_doc(path) or load_json(path)
     try:
         n = _header_n(doc["n"])
         x_min, dx, p_min, dp = doc["x_min"], doc["dx"], doc["p_min"], doc["dp"]
@@ -728,11 +726,10 @@ def save_records(x: np.ndarray, p: np.ndarray, path) -> None:
     _write_csv(path, "shot,x,p", (range(x.size), x, p))
 
 
-def save_report(verdicts: dict, out) -> str:
-    """``report.txt`` from each source's verdict; returns the text.  A directory
-    without sources fails."""
+def save_report(verdicts: dict, ok: bool, out) -> str:
+    """``report.txt`` from each source's verdict and the overall one ``ok``;
+    returns the text."""
     out = Path(out)
-    ok = bool(verdicts) and all(verdicts.values())
     lines = [f"{name}: {'PASS' if v else 'FAIL'}" for name, v in sorted(verdicts.items())]
     if not verdicts:
         lines.append(f"no *.report.json or *.summary.json in {out}")

@@ -328,9 +328,12 @@ class ConditionalResult:
 
 
 def conditional_q(q: PhaseSpaceGrid, psi: WaveFunction, p: float) -> ConditionalResult:
-    """Conditional distribution of x given momentum outcome p (nearest lattice point)."""
+    """Conditional distribution of x given momentum outcome p (nearest lattice
+    point); ``q`` must be on psi's momentum lattice."""
     mom = as_momentum(psi)
     g = mom.grid
+    if q.p.shape != g.p.shape or not np.allclose(q.p, g.p, rtol=0.0, atol=1e-9 * g.dp):
+        raise ValueError("q's momentum lattice is not psi's")
     l = int(np.argmin(np.abs(g.p - p)))
     dens_p = float(np.abs(mom.amp[l]) ** 2)
     if dens_p <= 1e-12:

@@ -227,8 +227,8 @@ class MarginalAxis(str, Enum):
 
 
 def marginal(dist: PhaseSpaceGrid, axis: MarginalAxis) -> np.ndarray:
-    """Quadrature sum along one axis times the eliminated spacing."""
-    if axis is MarginalAxis.OVER_P:
+    """Quadrature sum along one axis (a MarginalAxis or its value) times the eliminated spacing."""
+    if MarginalAxis(axis) is MarginalAxis.OVER_P:
         return np.sum(dist.values, axis=1) * dist.dp
     return np.sum(dist.values, axis=0) * dist.dx
 

@@ -56,6 +56,20 @@ class TestWavefunctionIO:
         assert back.grid.x_min == pytest.approx(grid.x_min)
         assert np.max(np.abs(back.amp - psi.amp)) < 1e-15
 
+    def test_misnamed_csv_reads_as_csv(self, grid, tmp_path):
+        psi = coherent_state(grid, 1.0, -0.5, 2.0)
+        save_wavefunction(psi, tmp_path / "s.csv", fmt="csv")
+        path = tmp_path / "s.json"
+        path.write_bytes((tmp_path / "s.csv").read_bytes())
+        back, want = load_wavefunction(path), load_wavefunction(tmp_path / "s.csv")
+        assert back.grid == want.grid and back.basis is want.basis
+        assert back.amp.tobytes() == want.amp.tobytes()
+
+    def test_csv_refuses_binary_sidecar(self, vacuum, tmp_path):
+        with pytest.raises(ValueError, match="sidecar"):
+            save_wavefunction(vacuum, tmp_path / "s.csv", fmt="csv", binary_sidecar=True)
+        assert list(tmp_path.iterdir()) == []
+
     def test_csv_rejects_momentum_basis(self, vacuum, tmp_path):
         with pytest.raises(ValueError):
             save_wavefunction(as_momentum(vacuum), tmp_path / "state.csv", fmt="csv")

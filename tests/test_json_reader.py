@@ -150,19 +150,21 @@ def test_documents_read_as_before(tmp_path, name, text):
 
 
 def test_misnamed_csv_reads_as_csv(tmp_path, monkeypatch):
-    """A distribution CSV under another name is declined by the row route at
-    its ``x,``, before any of it is split, and reads as the same file named
-    ``*.csv``."""
+    """A distribution CSV under another name reads as CSV at its ``x,``, never
+    reaching the JSON row route, and as the same file named ``*.csv``."""
     dist = PhaseSpaceGrid(x=np.array([0.0, 1.0]), p=np.array([0.0, 0.5, 1.0]),
                           kind=DistributionKind.HISTOGRAM, values=np.arange(6.0).reshape(2, 3))
     plio.save_distribution(dist, tmp_path / "d.csv")
     path = tmp_path / "d.json"
     path.write_bytes((tmp_path / "d.csv").read_bytes())
+
+    def json_route(path):
+        raise AssertionError(f"{path} reached the JSON row route")
+
     with monkeypatch.context() as m:
-        m.setattr(plio, "_pieces", None)
-        assert plio._distribution_doc(path) is None
-    assert _outcome(plio.load_distribution, path) == _outcome(plio.load_distribution,
-                                                             tmp_path / "d.csv")
+        m.setattr(plio, "_distribution_doc", json_route)
+        assert _outcome(plio.load_distribution, path) == _outcome(plio.load_distribution,
+                                                                 tmp_path / "d.csv")
 
 
 @pytest.mark.parametrize("name, data, message", [

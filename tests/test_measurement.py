@@ -448,6 +448,11 @@ class TestConditional:
         # ratio integral is the smoothed momentum density over the sharp one
         assert cond.ratio_integral == pytest.approx(1 / math.sqrt(2), abs=1e-6)
 
+    def test_q_on_another_momentum_lattice_rejected(self, vacuum):
+        psi = coherent_state(make_grid(vacuum.grid.n, -8.0, 8.0), 0.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="momentum lattice"):  # q's dp is half psi's
+            conditional_q(husimi(vacuum, 1.0), psi, 1.0)
+
     def test_vanishing_denominator_rejected(self, grid):
         f1 = fock_state(grid, 1)
         with pytest.raises(ValueError):

@@ -218,6 +218,13 @@ class TestMarginal:
             1.0, abs=1e-6
         )
 
+    def test_marginal_axis_by_value(self, grid, rng):
+        w = wigner(random_state(grid, rng))
+        for axis in MarginalAxis:
+            assert np.array_equal(marginal(w, axis.value), marginal(w, axis))
+        with pytest.raises(ValueError, match="nonsense"):
+            marginal(w, "nonsense")
+
 
 class TestTraceProduct:
     def test_purity(self, grid, rng):
