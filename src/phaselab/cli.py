@@ -274,6 +274,18 @@ def cmd_pointer(cfg: RunConfig, psi: WaveFunction) -> tuple:
     return "pointer.report.json", report, ok
 
 
+def _verdict(path: Path, doc: dict) -> bool:
+    """A report's verdict from its ``pass``, a JSON bool, and its ``status``,
+    one of PASS, FAIL and SKIPPED, each where present; any other value is a
+    ``ValueError`` that starts with ``path``."""
+    passed, status = doc.get("pass", True), doc.get("status", "PASS")
+    if type(passed) is not bool:
+        raise ValueError(f"{path}: pass must be true or false, got {json.dumps(passed)}")
+    if status not in ("PASS", "FAIL", "SKIPPED"):
+        raise ValueError(f"{path}: status must be PASS, FAIL or SKIPPED, got {json.dumps(status)}")
+    return passed and status != "FAIL"
+
+
 def cmd_report(cfg: RunConfig) -> tuple:
     out = Path(cfg.out)
     docs = {
@@ -281,10 +293,7 @@ def cmd_report(cfg: RunConfig) -> tuple:
         for path in sorted(out.glob("*.json"))
         if path.name.endswith((".report.json", ".summary.json"))
     }
-    verdicts = {
-        name: bool(doc.get("pass", True) and doc.get("status", "PASS") != "FAIL")
-        for name, doc in docs.items()
-    }
+    verdicts = {name: _verdict(out / name, doc) for name, doc in docs.items()}
     ok = bool(verdicts) and all(verdicts.values())  # a directory without sources fails
     print(plio.save_report(verdicts, ok, out), end="")
     return "report.json", {"sources": docs, "pass": ok}, ok

@@ -38,16 +38,21 @@ only where the pieces follow the writer's ``], [`` separators and every row
 is a flat float array of one length.  Any other JSON document goes through
 ``json.loads`` whole, in ``load_json``, whose errors name the file.
 
+The field tables ``_STATE`` and ``_DISTRIBUTION`` are the one place that says
+what each JSON header holds: each maps a field to its check.  ``_header``
+reads a document's header through its table, so a missing or bad field is a
+``ValueError`` of the form ``{path}: {field} ...``.
+
 Layouts:
 
-- State JSON: ``{basis, dx, n, x_min}`` plus either ``amp``, the interleaved
+- State JSON: the ``_STATE`` fields plus either ``amp``, the interleaved
   (re, im) amplitudes, or ``amp_file``, the name of a little-endian float64
   sidecar beside the JSON file holding exactly 2n values.
 - State CSV: header ``x,re,im``, one row per lattice point, position basis only.
 - Distribution CSV: header ``x,p,value``, one row per cell, row-major in x.
   It is lossy: without ``kind`` or ``delta`` it reloads as a ``HISTOGRAM``
   with ``delta=None``.
-- Distribution JSON: ``{delta, dp, dx, kind, n, p_min, values, x_min}`` with
+- Distribution JSON: the ``_DISTRIBUTION`` fields plus ``values``, with
   ``values[i][j]`` at (x_i, p_j).
 - Characteristic JSON: ``{du, dv, s, u_min, v_min, values_im, values_re}``.
 - ``records.csv``: header ``shot,x,p``, one row per shot.
@@ -409,34 +414,61 @@ def _csv_blocks(path: Path, header: str):
                 return
 
 
-def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """re + i*im with signed zeros kept (``re + 1j * im`` turns -0.0 into 0.0)."""
-    amp = np.empty(re.size, dtype=np.complex128)
-    amp.real, amp.imag = re, im
-    return amp
+def _integer(value) -> int:
+    """A JSON integer (``int()`` would truncate 64.9)."""
+    if type(value) is not int:
+        raise ValueError(f"must be an integer, got {value!r}")
+    return value
 
 
-def _header_n(n) -> int:
-    """A header's ``n``, which must be a JSON integer (``int()`` would truncate 64.9)."""
-    if type(n) is not int:
-        raise ValueError(f"n must be an integer, got {n!r}")
-    return n
+def _grid_size(value) -> int:
+    """A JSON integer that ``check_grid_size`` passes."""
+    check_grid_size(_integer(value))
+    return value
 
 
-def _header_number(path, name: str, value, positive: bool = False) -> float:
-    """A header's number ``name``, which must be a JSON number (not a bool),
-    finite, and above 0 if ``positive``; a bad one is a ``ValueError`` that
-    starts with ``path``."""
+def _finite(value, positive: bool = False) -> float:
+    """A JSON number (not a bool) that is finite, and above 0 if ``positive``."""
     if type(value) not in (int, float):
-        raise ValueError(f"{path}: {name} must be a number, got {value!r}")
+        raise ValueError(f"must be a number, got {value!r}")
     try:
         number = float(value)
     except OverflowError:  # an integer beyond the largest float
         number = math.inf
     if not (math.isfinite(number) and (number > 0.0 or not positive)):
         need = "positive and finite" if positive else "finite"
-        raise ValueError(f"{path}: {name} must be {need}, got {number!r}")
+        raise ValueError(f"must be {need}, got {number!r}")
     return number
+
+
+_positive = functools.partial(_finite, positive=True)
+
+
+def _or_none(check):
+    """``check`` for a field that may be absent or null, which reads as None."""
+    return lambda value: None if value is None else check(value)
+
+
+# Each JSON header's fields and their checks, which take the field's JSON value
+# (None where it is absent) and return its value or raise ValueError.
+_GRID = {"n": _integer, "x_min": _finite, "dx": _positive}
+_STATE = {**_GRID, "n": _grid_size, "basis": Basis}
+_DISTRIBUTION = {**_GRID, "p_min": _finite, "dp": _positive, "kind": DistributionKind,
+                 "delta": _or_none(_positive)}
+
+
+def _header(path, doc: dict, fields: dict) -> list:
+    """The value of each of ``fields`` in ``doc``, in the table's order, through
+    its check; a field that its check refuses is a ``ValueError`` of the form
+    ``{path}: {field} ...``."""
+    values = []
+    for name, check in fields.items():
+        try:
+            values.append(check(doc.get(name)))
+        except ValueError as exc:
+            why = exc if name in doc else f"is missing: no key {name!r}"
+            raise ValueError(f"{path}: {name} {why}") from None
+    return values
 
 
 def save_json(doc: dict, path, **tables: np.ndarray) -> None:
@@ -480,9 +512,7 @@ def save_wavefunction(psi: WaveFunction, path, fmt: str = "json", binary_sidecar
     if fmt != "json":
         raise ValueError(f"unknown wavefunction format {fmt!r}")
     header = {"n": g.n, "x_min": g.x_min, "dx": g.dx, "basis": psi.basis.value}
-    interleaved = np.empty(2 * g.n)
-    interleaved[0::2] = psi.amp.real
-    interleaved[1::2] = psi.amp.imag
+    interleaved = np.ascontiguousarray(psi.amp).view(np.float64)
     if binary_sidecar:
         sidecar = path.with_suffix(path.suffix + ".bin")
         interleaved.astype("<f8").tofile(sidecar)
@@ -503,28 +533,22 @@ def _sidecar(path: Path, name, n: int) -> np.ndarray:
             f"{path}: amp_file {name!r} must be a file of 2n = {2 * n} float64 values, "
             f"found {'no file' if size is None else f'{size} bytes'}"
         )
-    return np.fromfile(sidecar, dtype="<f8")
+    # in native byte order, which _state's complex view needs; no copy on little-endian hosts
+    return np.fromfile(sidecar, dtype="<f8").astype(np.float64, copy=False)
 
 
 def _state(path, grid: Grid, basis: Basis, interleaved: np.ndarray) -> WaveFunction:
-    """The state on ``grid`` of the 2n interleaved (re, im) amplitudes."""
+    """The state on ``grid`` of the 2n contiguous interleaved (re, im)
+    amplitudes, viewed as complex pairs: the same bits, signed zeros kept."""
     if not np.isfinite(interleaved).all():
         raise ValueError(f"{path}: amplitudes must be finite")
-    return WaveFunction(grid, basis, _complex(interleaved[0::2], interleaved[1::2]))
-
-
-def _check_state_size(path, n: int) -> None:
-    """``check_grid_size`` of a state file's n, its error starting with ``path``."""
-    try:
-        check_grid_size(n)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return WaveFunction(grid, basis, interleaved.view(np.complex128))
 
 
 def _state_from_rows(path, blocks) -> WaveFunction:
     table = np.concatenate(list(blocks))
     xs = table[:, 0]
-    _check_state_size(path, xs.size)
+    _header(path, {"n": xs.size}, {"n": _grid_size})
     dx = float(xs[1] - xs[0])
     if not (dx > 0.0 and np.all(np.abs(np.diff(xs) - dx) <= _SPACING_RTOL * dx)):
         raise ValueError(f"{path}: x column must be uniform and increasing")
@@ -536,18 +560,9 @@ def load_wavefunction(path) -> WaveFunction:
     path = Path(path)
     if _is_csv(path):
         return _state_from_rows(path, _csv_blocks(path, "x,re,im"))
-    header = load_json(path)
-    try:
-        n = _header_n(header["n"])
-        x_min, dx = header["x_min"], header["dx"]
-        basis = Basis(header["basis"])
-        amp_file = header.get("amp_file")
-        amp = None if amp_file is not None else header["amp"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: state header lacks or mistypes a field: {exc}") from None
-    grid = Grid(n=n, x_min=_header_number(path, "x_min", x_min),
-                dx=_header_number(path, "dx", dx, positive=True))
-    _check_state_size(path, n)
+    doc = load_json(path)
+    n, x_min, dx, basis = _header(path, doc, _STATE)
+    amp_file, amp = doc.get("amp_file"), doc.get("amp")
     if amp_file is not None:
         interleaved = _sidecar(path, amp_file, n)
     elif isinstance(amp, list) and len(amp) == 2 * n and all(type(v) in (int, float) for v in amp):
@@ -557,7 +572,7 @@ def load_wavefunction(path) -> WaveFunction:
             raise ValueError(f"{path}: amp holds an integer too large for a float") from None
     else:
         raise ValueError(f"{path}: amp must be a list of 2n = {2 * n} numbers")
-    return _state(path, grid, basis, interleaved)
+    return _state(path, Grid(n=n, x_min=x_min, dx=dx), basis, interleaved)
 
 
 def save_distribution(dist: PhaseSpaceGrid, path, fmt: str = "csv") -> None:
@@ -685,26 +700,16 @@ def load_distribution(path) -> PhaseSpaceGrid:
     if _is_csv(path):
         return _distribution_from_rows(path, _csv_blocks(path, "x,p,value"))
     doc = _distribution_doc(path) or load_json(path)
+    n, x_min, dx, p_min, dp, kind, delta = _header(path, doc, _DISTRIBUTION)
     try:
-        n = _header_n(doc["n"])
-        x_min, dx, p_min, dp = doc["x_min"], doc["dx"], doc["p_min"], doc["dp"]
-        n_p = len(doc["values"][0])
-        kind = DistributionKind(doc["kind"])
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: distribution header lacks or mistypes field {exc}") from None
-    x_min, dx = _header_number(path, "x_min", x_min), _header_number(path, "dx", dx, positive=True)
-    p_min, dp = _header_number(path, "p_min", p_min), _header_number(path, "dp", dp, positive=True)
-    delta = doc.get("delta")
-    if delta is not None:
-        delta = _header_number(path, "delta", delta, positive=True)
-    try:
-        values = np.asarray(doc["values"])
-        if values.dtype.kind not in "fiu":  # not a string, null or bool
-            raise ValueError(f"got cells of type {values.dtype}")
+        values = np.asarray(doc.get("values"))
+        if values.ndim != 2 or values.dtype.kind not in "fiu":  # not a string, null or bool
+            raise ValueError(f"got a {values.ndim}-D array of {values.dtype}")
     except ValueError as exc:
         raise ValueError(f"{path}: values must be rows of numbers of one length: {exc}") from None
     values = values.astype(np.float64, copy=False)
-    if values.shape != (n, n_p):
+    n_p = values.shape[1]
+    if values.shape[0] != n:
         raise ValueError(f"{path}: values shape {values.shape} does not match n = {n} "
                          f"rows of {n_p}")
     x, p = x_min + dx * np.arange(n), p_min + dp * np.arange(n_p)

@@ -42,6 +42,13 @@ class DistributionKind(str, Enum):
     HISTOGRAM = "histogram"
 
 
+def _step(axis: np.ndarray, name: str) -> float:
+    """The spacing of a grid axis, which needs two points."""
+    if axis.size < 2:
+        raise ValueError(f"d{name} needs two {name} points, the grid has {axis.size}")
+    return float(axis[1] - axis[0])
+
+
 @dataclass(frozen=True)
 class PhaseSpaceGrid:
     """A real distribution sampled on a rectangular (x, p) lattice.
@@ -69,11 +76,11 @@ class PhaseSpaceGrid:
 
     @property
     def dx(self) -> float:
-        return float(self.x[1] - self.x[0])
+        return _step(self.x, "x")
 
     @property
     def dp(self) -> float:
-        return float(self.p[1] - self.p[0])
+        return _step(self.p, "p")
 
     @property
     def weight(self) -> float:

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import traced_peak
 from phaselab import cli, coherent_state, fock_state, husimi, make_grid, measurement, wigner
+from phaselab import io as plio
 from phaselab.cli import RunConfig, main
 from phaselab.core import Basis, Grid, WaveFunction, as_momentum
 from phaselab.io import (
@@ -555,6 +556,31 @@ class TestCmdReport:
             assert err.startswith(f"error [phaselab]: {path}: {line}")
             assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("doc, line", [
+        ({"pass": "false"}, 'pass must be true or false, got "false"'),
+        ({"pass": 0}, "pass must be true or false, got 0"),
+        ({"status": "fail"}, 'status must be PASS, FAIL or SKIPPED, got "fail"'),
+        ({"status": None}, "status must be PASS, FAIL or SKIPPED, got null"),
+        ({"pass": True, "status": ["PASS"]}, 'status must be PASS, FAIL or SKIPPED, got ["PASS"]'),
+    ], ids=["pass-string", "pass-integer", "status-lowercase", "status-null", "status-list"])
+    def test_mistyped_verdict_one_line_error(self, tmp_path, capsys, doc, line):
+        path = tmp_path / "x.report.json"
+        path.write_text(json.dumps(doc))
+        assert main(["report", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error [phaselab]: {path}: {line}\n"
+        assert not (tmp_path / "report.txt").exists()
+
+    @pytest.mark.parametrize("doc, ok", [
+        ({"pass": True}, True), ({"pass": False}, False), ({"status": "SKIPPED"}, True),
+        ({"status": "FAIL"}, False), ({"pass": True, "status": "PASS"}, True), ({}, True),
+    ])
+    def test_well_typed_verdicts(self, tmp_path, doc, ok):
+        (tmp_path / "x.summary.json").write_text(json.dumps(doc))
+        assert main(["report", "--out", str(tmp_path)]) == (0 if ok else 1)
+        verdict = "PASS" if ok else "FAIL"
+        assert (tmp_path / "report.txt").read_text() == (
+            f"x.summary.json: {verdict}\noverall: {verdict}\n")
+
 
 class TestConfigFile:
     def test_config_file_wins_with_warning(self, tmp_path, capsys):
@@ -710,3 +736,107 @@ class TestInputChecks:
         assert capsys.readouterr().err == (
             f"error [cli]: config file {cfg_path}: a config file holds one JSON object\n")
         assert not out.exists()
+
+
+def _distribution(kind, delta, nx=4, n_p=8):
+    values = np.arange(nx * n_p, dtype=np.float64).reshape(nx, n_p)
+    return PhaseSpaceGrid(x=-1.0 + 0.5 * np.arange(nx), p=-2.0 + 0.5 * np.arange(n_p),
+                          kind=kind, values=values, delta=delta)
+
+
+class TestHeaderTables:
+    """Every JSON header the writers produce holds exactly its table's fields
+    and its tables, and each field is checked through the table."""
+
+    @pytest.mark.parametrize("sidecar, table", [(False, "amp"), (True, "amp_file")])
+    def test_state_header_keys(self, vacuum, tmp_path, sidecar, table):
+        path = tmp_path / "state.json"
+        save_wavefunction(vacuum, path, binary_sidecar=sidecar)
+        assert set(json.loads(path.read_text())) == set(plio._STATE) | {table}
+
+    @pytest.mark.parametrize("kind", list(DistributionKind))
+    @pytest.mark.parametrize("delta", [None, 2.0])
+    def test_distribution_header_keys(self, tmp_path, kind, delta):
+        path = tmp_path / "d.json"
+        save_distribution(_distribution(kind, delta), path, fmt="json")
+        assert set(json.loads(path.read_text())) == set(plio._DISTRIBUTION) | {"values"}
+        back = load_distribution(path)
+        assert back.kind is kind and back.delta == delta
+
+    @pytest.mark.parametrize("field", ["n", "x_min", "dx", "basis"])
+    def test_state_missing_field(self, vacuum, tmp_path, field):
+        path = tmp_path / "state.json"
+        save_wavefunction(vacuum, path)
+        doc = json.loads(path.read_text())
+        del doc[field]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as info:
+            load_wavefunction(path)
+        assert str(info.value) == f"{path}: {field} is missing: no key {field!r}"
+
+    @pytest.mark.parametrize("field", ["n", "x_min", "dx", "p_min", "dp", "kind"])
+    def test_distribution_missing_field(self, vacuum, tmp_path, field):
+        path = tmp_path / "q.json"
+        save_distribution(_distribution(DistributionKind.HUSIMI, 1.0), path, fmt="json")
+        doc = json.loads(path.read_text())
+        del doc[field]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as info:
+            load_distribution(path)
+        assert str(info.value) == f"{path}: {field} is missing: no key {field!r}"
+
+    def test_distribution_delta_may_be_absent(self, tmp_path):
+        path = tmp_path / "q.json"
+        save_distribution(_distribution(DistributionKind.WIGNER, None), path, fmt="json")
+        doc = json.loads(path.read_text())
+        del doc["delta"]
+        path.write_text(json.dumps(doc))
+        assert load_distribution(path).delta is None
+
+    @pytest.mark.parametrize("edit, line", [
+        ({"basis": "x"}, "basis 'x' is not a valid Basis"),
+        ({"n": 8}, "n grid size must be a power of two >= 16, got 8"),
+        ({"n": 8, "dx": 0}, "n grid size must be a power of two >= 16, got 8"),
+        ({"n": True}, "n must be an integer, got True"),
+    ], ids=["basis-unknown", "n-not-power-of-two", "n-before-dx", "n-bool"])
+    def test_state_field_messages(self, vacuum, tmp_path, edit, line):
+        path = tmp_path / "state.json"
+        save_wavefunction(vacuum, path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+        with pytest.raises(ValueError) as info:
+            load_wavefunction(path)
+        assert str(info.value) == f"{path}: {line}"
+
+    @pytest.mark.parametrize("binary_sidecar", [False, True])
+    def test_state_keeps_every_bit(self, grid, tmp_path, binary_sidecar):
+        amp = np.array([complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+                        complex(5e-324, -1e300)] * (grid.n // 4))
+        psi = WaveFunction(grid, Basis.POSITION, amp)
+        path = tmp_path / "state.json"
+        save_wavefunction(psi, path, binary_sidecar=binary_sidecar)
+        back = load_wavefunction(path)
+        assert back.amp.tobytes() == psi.amp.tobytes()
+
+
+class TestOnePointAxis:
+    """A table with one x row loads, as it always has, and asking for its
+    spacing names the axis instead of indexing past it."""
+
+    def test_csv_one_x_row_loads_then_names_the_axis(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x,p,value\n0,0,1\n0,1,2\n")
+        dist = load_distribution(path)
+        assert dist.values.shape == (1, 2) and dist.dp == 1.0
+        with pytest.raises(ValueError, match="^dx needs two x points, the grid has 1$"):
+            dist.normalization()
+
+    def test_json_save_of_one_x_row_names_the_axis(self, tmp_path):
+        dist = _distribution(DistributionKind.HISTOGRAM, None, nx=1)
+        with pytest.raises(ValueError, match="^dx needs two x points, the grid has 1$"):
+            save_distribution(dist, tmp_path / "d.json", fmt="json")
+
+    def test_one_point_p_axis_names_the_axis(self):
+        dist = _distribution(DistributionKind.HISTOGRAM, None, n_p=1)
+        assert dist.dx == 0.5
+        with pytest.raises(ValueError, match="^dp needs two p points, the grid has 1$"):
+            dist.weight

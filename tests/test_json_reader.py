@@ -280,6 +280,19 @@ def test_bad_tables_name_the_file(tmp_path, name, message):
     assert str(info.value).startswith(f"{path}: ")
 
 
+@pytest.mark.parametrize("table", ["[]", "[1.0, 2.0]", "{}", "null"])
+def test_values_not_a_table_names_the_file(tmp_path, table):
+    """A ``values`` entry that is not a 2-D numeric table is one line that
+    names the file and the field, not a header fault."""
+    path = tmp_path / "bad.json"
+    path.write_text(TEXT.replace("[[0.5, -1.25, 3.0], [1e-05, 2.5, -0.0]]", table))
+    with pytest.raises(ValueError) as info:
+        plio.load_distribution(path)
+    message = str(info.value)
+    assert message.startswith(f"{path}: values must be rows of numbers of one length: ")
+    assert "\n" not in message
+
+
 @pytest.mark.parametrize("name, message", [
     ("n-float", "n must be an integer, got 2.5"),
     ("kind-unknown", "'foo' is not a valid DistributionKind"),
