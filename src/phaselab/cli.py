@@ -1,8 +1,9 @@
 """Command-line front end for reproducible phase-space experiments.
 
 Subcommands: state, dist, sample, pointer, report.  Each run writes its data
-files plus a machine-readable report; the exit code is 0 iff every embedded
-check passed.  Identical configuration and seed produce identical bytes.
+files plus a machine-readable report; the exit code is 0 iff that report's
+verdict, the one ``phaselab report`` reads from it, is a pass.  Identical
+configuration and seed produce identical bytes.
 """
 
 from __future__ import annotations
@@ -204,7 +205,7 @@ def _state_metadata(psi: WaveFunction) -> dict:
 
 def cmd_state(cfg: RunConfig, psi: WaveFunction) -> tuple:
     plio.save_wavefunction(psi, Path(cfg.out) / f"state.{cfg.format}", fmt=cfg.format)
-    return "state.meta.json", _state_metadata(psi), True
+    return "state.meta.json", _state_metadata(psi)
 
 
 def cmd_dist(cfg: RunConfig, psi: WaveFunction, which: str) -> tuple:
@@ -234,7 +235,7 @@ def cmd_dist(cfg: RunConfig, psi: WaveFunction, which: str) -> tuple:
         ok = ok and abs(summary["normalization"] - 1.0) < 1e-6
         plio.save_distribution(dist, out / f"{which}.{cfg.format}", fmt=cfg.format)
     summary["pass"] = bool(ok)
-    return f"{which}.summary.json", summary, ok
+    return f"{which}.summary.json", summary
 
 
 def cmd_sample(cfg: RunConfig, psi: WaveFunction) -> tuple:
@@ -248,7 +249,6 @@ def cmd_sample(cfg: RunConfig, psi: WaveFunction) -> tuple:
     report = {"shots": cfg.shots, "seed": cfg.seed, "rejected": result.rejected}
     if cfg.shots == 0:
         report["status"] = "SKIPPED"
-        ok = True
     else:
         reference = coarsen(husimi(psi, cfg.delta), cfg.bins)
         sampled = result.histogram.values * result.histogram.weight
@@ -256,22 +256,20 @@ def cmd_sample(cfg: RunConfig, psi: WaveFunction) -> tuple:
         bound = shot_noise_bound(reference, cfg.shots)
         threshold = max(0.02, 5.0 * bound)
         report.update(tv=tv, shot_noise_bound=bound, threshold=threshold)
-        ok = tv < threshold
-        report["status"] = "PASS" if ok else "FAIL"
-    return "sample.report.json", report, ok
+        report["status"] = "PASS" if tv < threshold else "FAIL"
+    return "sample.report.json", report
 
 
 def cmd_pointer(cfg: RunConfig, psi: WaveFunction) -> tuple:
     spec = CouplingSpec(g=cfg.g, delta_device=cfg.delta_device)
     deviation = pointer_vs_direct(psi, spec)
-    ok = deviation < 1e-5
     report = {
         "g": cfg.g,
         "delta_device": cfg.delta_device,
         "max_deviation": deviation,
-        "status": "PASS" if ok else "FAIL",
+        "status": "PASS" if deviation < 1e-5 else "FAIL",
     }
-    return "pointer.report.json", report, ok
+    return "pointer.report.json", report
 
 
 def _verdict(path: Path, doc: dict) -> bool:
@@ -296,7 +294,7 @@ def cmd_report(cfg: RunConfig) -> tuple:
     verdicts = {name: _verdict(out / name, doc) for name, doc in docs.items()}
     ok = bool(verdicts) and all(verdicts.values())  # a directory without sources fails
     print(plio.save_report(verdicts, ok, out), end="")
-    return "report.json", {"sources": docs, "pass": ok}, ok
+    return "report.json", {"sources": docs, "pass": ok}
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -341,7 +339,8 @@ def _origin(exc: Exception) -> str:
 
 def main(argv=None) -> int:
     """The one run path: merge the config, make the output directory, build the
-    state, run ``cmd_<name>`` and write the report document it returns."""
+    state, run ``cmd_<name>``, write the report document it returns and exit
+    with that document's ``_verdict``."""
     args = build_parser().parse_args(argv)
     try:
         cfg = _merge_config(args)
@@ -350,11 +349,12 @@ def main(argv=None) -> int:
         # Looked up at call time, so that a wrapper set on the module attribute runs.
         command = globals()[f"cmd_{args.command}"]
         if args.command == "report":
-            name, doc, ok = command(cfg)
+            name, doc = command(cfg)
         else:
             extra = (args.which,) if args.command == "dist" else ()
-            name, doc, ok = command(cfg, _build_state(cfg), *extra)
+            name, doc = command(cfg, _build_state(cfg), *extra)
         plio.save_json(doc, out / name)
+        ok = _verdict(out / name, doc)
     except (ValueError, ArithmeticError, MemoryError, OSError) as exc:
         print(f"error [{_origin(exc)}]: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1

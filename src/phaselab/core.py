@@ -134,13 +134,15 @@ def check_resolved(grid: Grid, delta: float) -> None:
 def gaussian_window(centers, x, delta: float) -> np.ndarray:
     """exp(-(c - x)^2 / (2*delta)) for every center c, broadcast against x.
 
-    Computed in place on the one array of differences; the bytes equal those
-    of ``np.exp(-((c - x) ** 2) / (2 * delta))``.
+    Computed in place on the one array of differences.  For every finite
+    input the bytes equal those of ``np.exp(-((c - x) ** 2) / (2 * delta))``,
+    overflow of (c - x)^2 to inf included, since in round-to-nearest
+    a/(-b) has the bits of -(a/b); a NaN input gives NaN, whose sign bit may
+    differ.
     """
     out = np.subtract(centers, x)
     out *= out
-    np.negative(out, out=out)
-    out /= 2.0 * delta
+    out /= -2.0 * delta
     return np.exp(out, out=out)
 
 

@@ -705,6 +705,8 @@ def load_distribution(path) -> PhaseSpaceGrid:
         values = np.asarray(doc.get("values"))
         if values.ndim != 2 or values.dtype.kind not in "fiu":  # not a string, null or bool
             raise ValueError(f"got a {values.ndim}-D array of {values.dtype}")
+        if not values.shape[1]:
+            raise ValueError(f"got {values.shape[0]} row(s) of no number")
     except ValueError as exc:
         raise ValueError(f"{path}: values must be rows of numbers of one length: {exc}") from None
     values = values.astype(np.float64, copy=False)

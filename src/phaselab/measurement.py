@@ -63,6 +63,8 @@ class GaussianMeasurement:
     delta: float
 
     def __post_init__(self):
+        if not math.isfinite(self.x):
+            raise ValueError(f"x must be finite, got {self.x}")
         check_positive("delta", self.delta)
 
 
@@ -85,6 +87,11 @@ def _m_diag(grid: Grid, x, delta: float) -> np.ndarray:
     return (delta * math.pi) ** -0.25 * gaussian_window(grid.x, x, delta)
 
 
+def _m2(grid: Grid, xs: np.ndarray, delta: float) -> np.ndarray:
+    """Diagonals of M^2(x) on the position lattice, one row per outcome in `xs`."""
+    return gaussian_window(grid.x, xs[:, None], delta / 2.0) / math.sqrt(delta * math.pi)
+
+
 def m_density(psi: WaveFunction, delta: float) -> np.ndarray:
     """Outcome density p(x) = <psi|M^2(x)|psi> on the position lattice.
 
@@ -94,8 +101,7 @@ def m_density(psi: WaveFunction, delta: float) -> np.ndarray:
     pos = as_position(psi)
     g = pos.grid
     check_resolved(g, delta)
-    kernel = gaussian_window(g.x, g.x[:, None], delta / 2.0) / math.sqrt(delta * math.pi)
-    return kernel @ (pos.density() * g.dx)
+    return _m2(g, g.x, delta) @ (pos.density() * g.dx)
 
 
 def apply_m(psi: WaveFunction, meas: GaussianMeasurement) -> WaveFunction:
@@ -204,24 +210,21 @@ def _sample_chunk(pos, px, delta, seed, chunk_index, count):
     left_x = g.x[0] - g.dx / 2.0
     psi_alt = pos.amp.copy()
     psi_alt[1::2] *= -1.0
-    xs = _inverse_cdf(px, left_x, g.dx, u[:, 0])
-    ps, norms2 = _collapse_draws(g, psi_alt, delta, xs, u[:, 1])
-    # reject deep-tail outcomes (practically unreachable) and redraw, in row order
-    bad = np.flatnonzero(norms2 <= MIN_COLLAPSE_NORM**2)
-    rejected = 0
-    for _ in range(MAX_REDRAWS):
-        if bad.size == 0:
-            break
-        rejected += bad.size
-        xs[bad] = _inverse_cdf(px, left_x, g.dx, rng.random(bad.size))
-        ps[bad], norms2[bad] = _collapse_draws(g, psi_alt, delta, xs[bad], u[bad, 1])
-        bad = bad[norms2[bad] <= MIN_COLLAPSE_NORM**2]
-    if bad.size:
-        raise OutcomeIncompatibleError(
-            f"{bad.size} outcome(s) of sampling chunk {chunk_index} still have collapse norm "
-            f"<= {MIN_COLLAPSE_NORM:g} after {MAX_REDRAWS} redraws"
-        )
-    return xs, ps, rejected
+    xs, ps = np.empty(count), np.empty(count)
+    rows, fresh, rejected = np.arange(count), u[:, 0], 0
+    # deep-tail outcomes (practically unreachable) are rejected and redrawn, in row order
+    for _ in range(MAX_REDRAWS + 1):
+        xs[rows] = _inverse_cdf(px, left_x, g.dx, fresh)
+        ps[rows], norms2 = _collapse_draws(g, psi_alt, delta, xs[rows], u[rows, 1])
+        rows = rows[norms2 <= MIN_COLLAPSE_NORM**2]
+        if rows.size == 0:
+            return xs, ps, rejected
+        rejected += rows.size
+        fresh = rng.random(rows.size)
+    raise OutcomeIncompatibleError(
+        f"{rows.size} outcome(s) of sampling chunk {chunk_index} still have collapse norm "
+        f"<= {MIN_COLLAPSE_NORM:g} after {MAX_REDRAWS} redraws"
+    )
 
 
 def sample_joint(
@@ -244,7 +247,6 @@ def sample_joint(
     nx_bins, np_bins = check_bins(bins)
     pos = as_position(psi)
     g = pos.grid
-    check_resolved(g, delta)
     x_edges = np.linspace(g.x[0] - g.dx / 2.0, g.x[-1] + g.dx / 2.0, nx_bins + 1)
     p_edges = np.linspace(g.p[0] - g.dp / 2.0, g.p[-1] + g.dp / 2.0, np_bins + 1)
 
@@ -396,9 +398,7 @@ def povm_completeness(grid: Grid, delta: float) -> float:
     M^2(x) is diagonal in position, so the deviation per basis vector is the
     deviation of the summed Gaussian weights from 1.
     """
-    xs = _outcome_lattice(grid, delta)
-    weights = gaussian_window(grid.x, xs[:, None], delta / 2.0)
-    total = weights.sum(axis=0) * grid.dx / math.sqrt(delta * math.pi)
+    total = _m2(grid, _outcome_lattice(grid, delta), delta).sum(axis=0) * grid.dx
     return float(np.max(np.abs(total - 1.0)))
 
 

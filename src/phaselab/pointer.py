@@ -128,6 +128,11 @@ def device_grid_for(system_grid: Grid, spec: CouplingSpec) -> Grid:
     return Grid(n=n_d, x_min=spec.g * (system_grid.x_min - left * system_grid.dx), dx=dx_d)
 
 
+def _unit_norm(env: np.ndarray, dx: float) -> np.ndarray:
+    """The real amplitude `env` scaled to unit norm on spacing dx."""
+    return env / math.sqrt(float(np.sum(env**2)) * dx)
+
+
 def make_composite(device_grid: Grid, delta: float, psi: WaveFunction) -> ProductWaveFunction:
     """Product of the normalized device Gaussian exp(-x^2/(2*delta)) with the system
     state, held as these two factors."""
@@ -135,7 +140,7 @@ def make_composite(device_grid: Grid, delta: float, psi: WaveFunction) -> Produc
     env = gaussian_window(device_grid.x, 0.0, delta)
     if max(env[0], env[-1]) > EDGE_DECAY:
         raise EnvelopeError("device Gaussian does not decay at the device grid edges")
-    env = env / math.sqrt(float(np.sum(env**2)) * device_grid.dx)
+    env = _unit_norm(env, device_grid.dx)
     env.flags.writeable = False
     return ProductWaveFunction(device_grid, env, as_position(psi), float(delta))
 
@@ -164,12 +169,8 @@ def _row_gather(comp: ProductWaveFunction, g: float):
     fracs, which = np.unique(fracs, return_inverse=True)
     samples = np.empty((fracs.size, 2, gd.n))
     for sample, frac in zip(samples, fracs):
-        if frac:
-            env = gaussian_window(gd.x, frac * gd.dx, comp.delta_device)
-            np.divide(env, math.sqrt(float(np.sum(env**2)) * gd.dx), out=sample[0])
-        else:
-            sample[0] = comp.env
-        sample[1] = sample[0]
+        sample[:] = (_unit_norm(gaussian_window(gd.x, frac * gd.dx, comp.delta_device), gd.dx)
+                     if frac else comp.env)
     sample_max = samples[:, 0].max(axis=1)
     shifts = m0 + r * k + carry.astype(np.int64)
     base = which * 2 * gd.n + (-shifts) % gd.n

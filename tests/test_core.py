@@ -19,7 +19,14 @@ from phaselab import (
     to_momentum,
     to_position,
 )
-from phaselab.core import Grid, ResolutionError, as_momentum, check_resolved, fourier_sum
+from phaselab.core import (
+    Grid,
+    ResolutionError,
+    as_momentum,
+    check_resolved,
+    fourier_sum,
+    gaussian_window,
+)
 
 
 class TestMakeGrid:
@@ -254,3 +261,22 @@ def test_resolution_check_refuses_a_vanishing_prefactor(grid, delta):
 
 def test_resolution_check_keeps_a_huge_finite_prefactor(grid):
     check_resolved(grid, 5e307)  # delta*pi = 1.6e308 is finite
+
+
+@pytest.mark.parametrize("delta", [1e-300, 1e-20, 0.125, 1.0, 3.0, 1e20, 1e300, 1.7e308])
+def test_gaussian_window_has_the_bits_of_the_plain_expression(delta):
+    """The in-place window against exp(-((c - x)**2) / (2*delta)), (k, 1) against
+    (n,) as its callers broadcast: the same bits for every input where the plain
+    expression is not NaN, signed zeros and (c - x)**2 overflowing to inf
+    included; where it is NaN (a NaN input, or inf/inf at the widest delta), NaN."""
+    spans = 10.0 ** np.random.default_rng(5).uniform(-200, 200, 64)
+    centers = np.concatenate([[0.0, -0.0, 5e-324, 1.5, 1e154, 1.4e154, 1e200, 1.7e308], spans])
+    centers = np.concatenate([centers, -centers])
+    x = np.array([0.0, -0.0, 0.3, -2.5, 1e-300, 1e200, -1.7e308, math.nan])[:, None]
+    with np.errstate(all="ignore"):
+        got = gaussian_window(centers, x, delta)
+        want = np.exp(-((centers - x) ** 2) / (2 * delta))
+    nan = np.isnan(want)
+    assert got.shape == want.shape == (x.size, centers.size)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))

@@ -840,3 +840,37 @@ class TestOnePointAxis:
         assert dist.dx == 0.5
         with pytest.raises(ValueError, match="^dp needs two p points, the grid has 1$"):
             dist.weight
+
+
+class TestExitCodeIsTheVerdict:
+    """A run's exit code is the verdict that ``phaselab report`` reads from the
+    report file the run wrote, and so is the exit code of ``phaselab report``."""
+
+    @staticmethod
+    def _verdict_code(path):
+        return 0 if cli._verdict(path, json.loads(path.read_text())) else 1
+
+    @pytest.mark.parametrize("argv, name", [
+        (["state"], "state.meta.json"),
+        (["dist", "--which", "wigner"], "wigner.summary.json"),
+        (["dist", "--which", "husimi", "--delta", "2"], "husimi.summary.json"),
+        (["dist", "--which", "characteristic"], "characteristic.summary.json"),
+        (["sample", "--shots", "0"], "sample.report.json"),
+        (["sample", "--shots", "5000", "--seed", "3"], "sample.report.json"),
+        (["pointer", "--g", "0.5"], "pointer.report.json"),
+    ], ids=["state", "wigner", "husimi", "characteristic", "sample-skipped", "sample",
+            "pointer"])
+    def test_each_command(self, tmp_path, argv, name):
+        grid = ["--grid-n", "64", "--x-min", "-8", "--x-max", "8"]
+        code = main(argv + grid + ["--out", str(tmp_path)])
+        assert code == self._verdict_code(tmp_path / name)
+        assert main(["report", "--out", str(tmp_path)]) == self._verdict_code(
+            tmp_path / "report.json")
+
+    def test_a_failing_run_and_its_report(self, tmp_path, capsys):
+        code = main(["dist", "--which", "characteristic", "--s", "1", "--grid-n", "1024",
+                     "--out", str(tmp_path)])
+        assert code == 1 == self._verdict_code(tmp_path / "characteristic.summary.json")
+        capsys.readouterr()
+        assert main(["report", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().out.endswith("overall: FAIL\n")

@@ -361,3 +361,19 @@ def test_edited_documents_keep_the_contract(tmp_path):
         path.write_text(text)
         taken += _fast_route_agrees(path)
     assert taken > 30
+
+
+@pytest.mark.parametrize("route", ["rows", "json-loads"])
+@pytest.mark.parametrize("table, n", [("[[]]", 1), ("[[], []]", 2)], ids=["one-row", "two-rows"])
+def test_a_table_without_columns_names_the_file(tmp_path, monkeypatch, route, table, n):
+    """Rows that hold no number are refused on both routes, as a CSV with only
+    its header is, not loaded as an n x 0 grid."""
+    path = tmp_path / "bad.json"
+    path.write_text(TEXT.replace("[[0.5, -1.25, 3.0], [1e-05, 2.5, -0.0]]", table)
+                    .replace('"n": 2', f'"n": {n}').replace('"wigner"', '"husimi"'))
+    if route == "json-loads":
+        monkeypatch.setattr(plio, "_distribution_doc", lambda path: None)
+    with pytest.raises(ValueError) as info:
+        plio.load_distribution(path)
+    assert str(info.value) == (f"{path}: values must be rows of numbers of one length: "
+                               f"got {n} row(s) of no number")

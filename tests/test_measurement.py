@@ -125,6 +125,12 @@ class TestApplyM:
         with pytest.raises(OutcomeIncompatibleError):
             apply_m(vacuum, GaussianMeasurement(x=15.0, delta=0.1))
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_outcome_refused(self, vacuum, x):
+        # a NaN outcome would collapse into a state of NaN amplitudes
+        with pytest.raises(ValueError, match=f"x must be finite, got {x}"):
+            apply_m(vacuum, GaussianMeasurement(x=x, delta=1.0))
+
     def test_information_preserved_under_the_window(self, grid, rng):
         psi = random_state(grid, rng)
         meas = GaussianMeasurement(x=0.7, delta=1.0)
