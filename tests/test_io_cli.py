@@ -744,6 +744,12 @@ def _distribution(kind, delta, nx=4, n_p=8):
                           kind=kind, values=values, delta=delta)
 
 
+def _characteristic():
+    u, v = -1.0 + 0.5 * np.arange(4), -2.0 + 0.25 * np.arange(8)
+    values = np.arange(32.0).reshape(4, 8) - 1j * np.arange(32.0).reshape(4, 8)
+    return CharacteristicGrid(u=u, v=v, s=-1.0, values=values)
+
+
 class TestHeaderTables:
     """Every JSON header the writers produce holds exactly its table's fields
     and its tables, and each field is checked through the table."""
@@ -762,6 +768,12 @@ class TestHeaderTables:
         assert set(json.loads(path.read_text())) == set(plio._DISTRIBUTION) | {"values"}
         back = load_distribution(path)
         assert back.kind is kind and back.delta == delta
+
+    def test_characteristic_header_keys(self, tmp_path):
+        path = tmp_path / "c.json"
+        save_characteristic(_characteristic(), path)
+        assert set(json.loads(path.read_text())) == set(plio._CHARACTERISTIC) | {
+            "values_re", "values_im"}
 
     @pytest.mark.parametrize("field", ["n", "x_min", "dx", "basis"])
     def test_state_missing_field(self, vacuum, tmp_path, field):
@@ -816,6 +828,35 @@ class TestHeaderTables:
         save_wavefunction(psi, path, binary_sidecar=binary_sidecar)
         back = load_wavefunction(path)
         assert back.amp.tobytes() == psi.amp.tobytes()
+
+
+class TestCharacteristicReader:
+    """A characteristic file that its table, or its tables' shapes, refuse is
+    one line that names the file."""
+
+    @pytest.mark.parametrize("edit, line", [
+        ({"s": 1.5}, "s must lie in [-1, 1], got 1.5"),
+        ({"s": -1.0000000000000002}, "s must lie in [-1, 1], got -1.0000000000000002"),
+        ({"s": True}, "s must be a number, got True"),
+        ({"du": 0.0}, "du must be positive and finite, got 0.0"),
+        ({"values_im": [[0.0] * 8] * 3},
+         "values_re shape (4, 8) does not match values_im shape (3, 8)"),
+        ({"values_re": [[0.0] * 7] * 4},
+         "values_re shape (4, 7) does not match values_im shape (4, 8)"),
+        ({"values_re": None},
+         "values_re must be rows of numbers of one length: got a 0-D array of object"),
+        ({"values_im": [[0.5, True]] * 4},
+         "values_im must be rows of numbers of one length: got true or false among the numbers"),
+    ], ids=["s-above-1", "s-below-minus-1", "s-bool", "du-zero", "fewer-im-rows",
+            "shorter-re-rows", "re-missing", "im-bool"])
+    def test_refusals_name_the_file(self, tmp_path, edit, line):
+        path = tmp_path / "c.json"
+        save_characteristic(_characteristic(), path)
+        doc = {**json.loads(path.read_text()), **edit}
+        path.write_text(json.dumps({k: v for k, v in doc.items() if v is not None}))
+        with pytest.raises(ValueError) as info:
+            plio.load_characteristic(path)
+        assert str(info.value) == f"{path}: {line}"
 
 
 class TestOnePointAxis:

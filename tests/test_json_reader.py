@@ -229,6 +229,8 @@ EDGES = {
     "string-cell": TEXT.replace("3.0", '"3.0"'),
     "word-cell": TEXT.replace("3.0", '"a"'),
     "null-cell": TEXT.replace("3.0", "null"),
+    "true-cell": TEXT.replace("-1.25", "true"),
+    "false-cell": TEXT.replace("-0.0", "false"),
     "n-disagrees": TEXT.replace('"n": 2', '"n": 3'),
     "n-terabytes": TEXT.replace('"n": 2', '"n": 1099511627776'),
     "n-beyond-int64": TEXT.replace('"n": 2', f'"n": {10**30}'),
@@ -377,3 +379,25 @@ def test_a_table_without_columns_names_the_file(tmp_path, monkeypatch, route, ta
         plio.load_distribution(path)
     assert str(info.value) == (f"{path}: values must be rows of numbers of one length: "
                                f"got {n} row(s) of no number")
+
+
+@pytest.mark.parametrize("route", ["rows", "json-loads"])
+@pytest.mark.parametrize("layout", ["writer", "pretty-printed"])
+@pytest.mark.parametrize("cells", [("true",), ("false",), ("true", "false")],
+                         ids=["true", "false", "both"])
+def test_a_boolean_among_numbers_names_the_file(tmp_path, monkeypatch, route, layout, cells):
+    """true or false in a table of numbers is refused on both routes, as a
+    table of booleans alone is, not loaded as 1.0 or 0.0."""
+    text = TEXT
+    for cell, number in zip(cells, ("-1.25", "-0.0")):
+        text = text.replace(number, cell)
+    if layout == "pretty-printed":
+        text = json.dumps(json.loads(text), indent=2)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    if route == "json-loads":
+        monkeypatch.setattr(plio, "_distribution_doc", lambda path: None)
+    with pytest.raises(ValueError) as info:
+        plio.load_distribution(path)
+    assert str(info.value) == (f"{path}: values must be rows of numbers of one length: "
+                               "got true or false among the numbers")
