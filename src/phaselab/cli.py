@@ -56,8 +56,18 @@ class ConfigError(ValueError):
     """A --config file that cannot be read, is not JSON or sets unknown fields."""
 
 
-# Spec kind -> (fewest, most) numeric parameters.
-_SPEC_ARITY = {"coherent": (2, 3), "fock": (1, 1), "cat": (1, 2)}
+def _cat(grid, a, delta=1.0) -> WaveFunction:
+    """The even superposition of coherent states at (-a, 0) and (a, 0)."""
+    left, right = coherent_state(grid, -a, 0.0, delta), coherent_state(grid, a, 0.0, delta)
+    return superpose(1.0, left, 1.0, right)
+
+
+# Spec kind -> (fewest, most numeric parameters, the state on a grid from them).
+_SPECS = {
+    "coherent": (2, 3, coherent_state),
+    "fock": (1, 1, lambda grid, m: fock_state(grid, int(m))),
+    "cat": (1, 2, _cat),
+}
 
 # Output formats of the data files.
 FORMATS = ("csv", "json")
@@ -153,31 +163,20 @@ def _merge_config(args) -> RunConfig:
 
 def _build_state(cfg: RunConfig) -> WaveFunction:
     spec = cfg.state.strip()
-    if not (spec and spec.split()[0] in _SPEC_ARITY) and Path(spec).is_file():
+    if not (spec and spec.split()[0] in _SPECS) and Path(spec).is_file():
         return plio.load_wavefunction(spec)
     kind, params = _parse_spec(spec)
-    grid = make_grid(cfg.grid_n, cfg.x_min, cfg.x_max)
-    if kind == "coherent":
-        x0, p0 = params[0], params[1]
-        delta = params[2] if len(params) > 2 else 1.0
-        return coherent_state(grid, x0, p0, delta)
-    if kind == "fock":
-        return fock_state(grid, int(params[0]))
-    a = params[0]
-    delta = params[1] if len(params) > 1 else 1.0
-    left = coherent_state(grid, -a, 0.0, delta)
-    right = coherent_state(grid, a, 0.0, delta)
-    return superpose(1.0, left, 1.0, right)
+    return _SPECS[kind][2](make_grid(cfg.grid_n, cfg.x_min, cfg.x_max), *params)
 
 
 def _parse_spec(spec: str) -> tuple:
     """(kind, float parameters) of a constructor spec, checked against its arity."""
     tokens = spec.split()
     kind = tokens[0] if tokens else ""
-    if kind not in _SPEC_ARITY:
+    if kind not in _SPECS:
         raise StateSpecError(f"unknown state spec {spec!r}; expected 'coherent x0 p0 [delta]', "
                              "'fock m', 'cat a [delta]' or a state file")
-    fewest, most = _SPEC_ARITY[kind]
+    fewest, most, _ = _SPECS[kind]
     if not fewest <= len(tokens) - 1 <= most:
         raise StateSpecError(f"state spec {spec!r}: {kind} takes {fewest} to {most} numbers")
     try:

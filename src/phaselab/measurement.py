@@ -144,24 +144,31 @@ def _inverse_cdf(density: np.ndarray, left_edge: float, spacing: float, u: np.nd
     `density` is one row shared by every uniform in `u`, or one row per
     uniform.  The CDF is linear inside each cell, so a draw is a cell lookup
     plus a linear interpolation; outcomes are continuous reals.
+
+    Both cases share one lookup, a lower-bound bisection over the flattened
+    CDF: each draw's search starts at its row's offset (0 for the shared row,
+    n*i for row i, the one place the cases differ) and halves its span until
+    it rests on the first CDF value not below the target.  On a nondecreasing
+    row, that index counted from the row's start is the number of CDF values
+    below the target, the left insertion point of a sorted search.  Each row
+    keeps its whole sequential ``cumsum``: `below`, the CDF value before a
+    draw's cell, must be that sum's prefix for the draws to keep their bits.
     """
     mass = np.maximum(density, 0.0)
     mass *= spacing
-    cdf = np.cumsum(mass, axis=-1)
-    if density.ndim == 1:
-        target = u * cdf[-1]
-        # the count of CDF values below the target, found by bisection
-        idx = np.minimum(np.searchsorted(cdf, target, side="left"), cdf.size - 1)
-        below = np.where(idx > 0, cdf[np.maximum(idx - 1, 0)], 0.0)
-        cell = mass[idx]
-    else:
-        rows = np.arange(u.size)
-        target = u * cdf[:, -1]
-        idx = np.minimum((cdf < target[:, None]).sum(axis=1), cdf.shape[1] - 1)
-        below = np.where(idx > 0, cdf[rows, np.maximum(idx - 1, 0)], 0.0)
-        cell = mass[rows, idx]
-    frac = np.clip((target - below) / np.maximum(cell, 1e-300), 0.0, 1.0)
-    return left_edge + (idx + frac) * spacing
+    n = mass.shape[-1]
+    cdf = np.cumsum(mass, axis=-1).ravel()
+    start = np.zeros(u.size, np.intp) if density.ndim == 1 else n * np.arange(u.size)
+    target = u * cdf[start + (n - 1)]
+    idx, size = start.copy(), n
+    while size > 1:
+        half = size // 2
+        idx += half * (cdf[idx + half] < target)
+        size -= half
+    idx = np.minimum(idx + (cdf[idx] < target), start + (n - 1))
+    below = np.where(idx > start, cdf[idx - 1], 0.0)
+    frac = np.clip((target - below) / np.maximum(mass.ravel()[idx], 1e-300), 0.0, 1.0)
+    return left_edge + (idx - start + frac) * spacing
 
 
 def _worker_count(n_chunks: int) -> int:
@@ -240,8 +247,8 @@ def sample_joint(
     p* from the collapsed momentum density.  Deterministic for a fixed seed
     and independent of the worker count (fixed-size chunk substreams).
     """
-    if shots < 0:
-        raise ValueError(f"shots must be non-negative, got {shots}")
+    if not (isinstance(shots, Integral) and not isinstance(shots, bool) and shots >= 0):
+        raise ValueError(f"shots must be a non-negative integer, got {shots!r}")
     if not (isinstance(seed, Integral) and 0 <= seed < 2**64):
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     nx_bins, np_bins = check_bins(bins)
@@ -251,17 +258,16 @@ def sample_joint(
     p_edges = np.linspace(g.p[0] - g.dp / 2.0, g.p[-1] + g.dp / 2.0, np_bins + 1)
 
     px = m_density(pos, delta)
-    n_chunks = (shots + CHUNK - 1) // CHUNK
-    sizes = [min(CHUNK, shots - c * CHUNK) for c in range(n_chunks)]
-
     # Each chunk fills its rows here, so no chunk's arrays outlive it in a worker's heap.
+    # Allocated before any chunk is queued, so a shot count too large to hold fails at once.
     xs, ps = np.empty(shots), np.empty(shots)
+    n_chunks = (shots + CHUNK - 1) // CHUNK
 
     def run(c):
         """The chunk's rejections and its histogram counts, whole numbers that
         sum exactly in any order."""
-        rows = slice(c * CHUNK, c * CHUNK + sizes[c])
-        xs[rows], ps[rows], rejected = _sample_chunk(pos, px, delta, seed, c, sizes[c])
+        rows = slice(c * CHUNK, min(shots, (c + 1) * CHUNK))
+        xs[rows], ps[rows], rejected = _sample_chunk(pos, px, delta, seed, c, rows.stop - rows.start)
         return rejected, np.histogram2d(xs[rows], ps[rows], bins=[x_edges, p_edges])[0]
 
     rejected, counts = 0, np.zeros((nx_bins, np_bins))

@@ -349,6 +349,12 @@ class TestCmdSample:
             assert main(["sample", "--shots", "5000", "--seed", "7", "--out", str(out)]) == 0
         assert (a / "records.csv").read_bytes() == (b / "records.csv").read_bytes()
 
+    def test_shot_count_too_large_to_hold_one_line_error(self, tmp_path, capsys):
+        assert main(["sample", "--shots", str(10**20), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [") and err.count("\n") == 1
+        assert not (tmp_path / "records.csv").exists()
+
     def test_non_positive_delta_one_line_error(self, tmp_path, capsys):
         assert main(["sample", "--delta", "-1", "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -212,6 +213,17 @@ class TestSampler:
         with pytest.raises(ValueError):
             sample_joint(vacuum, 1.0, -1, seed=1)
 
+    @pytest.mark.parametrize("shots", [1e4, 2.5, True, np.float64(8.0)])
+    def test_shots_that_are_not_integers_rejected(self, vacuum, shots):
+        with pytest.raises(ValueError, match="^shots must be a non-negative integer"):
+            sample_joint(vacuum, 1.0, shots, seed=1)
+
+    def test_shot_count_too_large_to_hold_fails_at_once(self, vacuum):
+        start = time.perf_counter()
+        with pytest.raises((ValueError, MemoryError)):
+            sample_joint(vacuum, 1.0, 10**20, seed=0)
+        assert time.perf_counter() - start < 5.0
+
     @pytest.mark.parametrize("bins", [(0, 0), (-2, 2), (32,), (32, 32, 32), (32.0, 32)])
     def test_bins_must_be_two_positive_integers(self, vacuum, bins):
         with pytest.raises(ValueError, match="^bins must be two positive integers"):
@@ -380,14 +392,17 @@ class TestWorkerCount:
 
 
 class TestInverseCdf:
+    # odd sizes give the lookup's bisection uneven halves
+    SIZES = (3, 17, 64, 1024)
+
     @staticmethod
-    def _density(rng, n=64):
+    def _density(rng, n):
         # zero-mass cells, tiny negative densities (clipped to zero mass) and
         # ordinary cells
         dens = rng.random(n)
         dens[rng.random(n) < 0.3] = 0.0
         dens[rng.random(n) < 0.1] = -1e-18
-        dens[:3] = 0.0
+        dens[:min(3, n - 1)] = 0.0
         return dens
 
     @staticmethod
@@ -397,30 +412,37 @@ class TestInverseCdf:
         return u
 
     def test_shared_row_matches_searchsorted_reference(self, rng):
-        dens, u = self._density(rng), self._uniforms(rng)
-        got = _inverse_cdf(dens, -3.0, 0.125, u)
-        assert np.array_equal(got, oracles.inverse_cdf_row(dens, -3.0, 0.125, u))
+        for dens in [self._density(rng, n) for n in self.SIZES] + [np.zeros(64)]:
+            u = self._uniforms(rng)
+            got = _inverse_cdf(dens, -3.0, 0.125, u)
+            assert np.array_equal(got, oracles.inverse_cdf_row(dens, -3.0, 0.125, u))
 
     def test_cell_index_is_searchsorted_left(self, rng):
-        dens, u = self._density(rng), self._uniforms(rng)
-        cdf = np.cumsum(np.maximum(dens, 0.0))
-        idx = np.minimum(np.searchsorted(cdf, u * cdf[-1], "left"), dens.size - 1)
-        draws = _inverse_cdf(dens, 0.0, 1.0, u)
-        assert np.all((draws >= idx) & (draws <= idx + 1))
-        inside = (draws > idx) & (draws < idx + 1)
-        assert np.all(dens[idx[inside]] > 0.0)  # no draw inside a zero-mass cell
-        assert draws[0] == draws[1] == 0.0  # u = 0 is the left edge of the lattice
+        for n in self.SIZES:
+            dens, u = self._density(rng, n), self._uniforms(rng)
+            cdf = np.cumsum(np.maximum(dens, 0.0))
+            idx = np.minimum(np.searchsorted(cdf, u * cdf[-1], "left"), dens.size - 1)
+            draws = _inverse_cdf(dens, 0.0, 1.0, u)
+            assert np.all((draws >= idx) & (draws <= idx + 1))
+            inside = (draws > idx) & (draws < idx + 1)
+            assert np.all(dens[idx[inside]] > 0.0)  # no draw inside a zero-mass cell
+            assert draws[0] == draws[1] == 0.0  # u = 0 is the left edge of the lattice
 
     def test_shared_row_equals_broadcast_rows(self, rng):
-        dens, u = self._density(rng), self._uniforms(rng)
-        rows = np.repeat(dens[None, :], u.size, axis=0)
-        assert np.array_equal(_inverse_cdf(dens, 1.5, 0.25, u), _inverse_cdf(rows, 1.5, 0.25, u))
+        for n in self.SIZES:
+            dens, u = self._density(rng, n), self._uniforms(rng)
+            rows = np.repeat(dens[None, :], u.size, axis=0)
+            assert np.array_equal(_inverse_cdf(dens, 1.5, 0.25, u), _inverse_cdf(rows, 1.5, 0.25, u))
 
     def test_rows_draw_each_row_like_the_reference(self, rng):
-        rows = np.stack([self._density(rng) for _ in range(50)])
-        u = self._uniforms(rng, 50)
-        want = [oracles.inverse_cdf_row(r, -1.0, 0.5, u[i:i + 1])[0] for i, r in enumerate(rows)]
-        assert np.array_equal(_inverse_cdf(rows, -1.0, 0.5, u), np.array(want))
+        for n in self.SIZES:
+            rows = np.stack([self._density(rng, n) for _ in range(50)])
+            rows[7] = 0.0  # a momentum row with no mass
+            u = self._uniforms(rng, 50)
+            got = _inverse_cdf(rows, -1.0, 0.5, u)
+            want = [oracles.inverse_cdf_row(r, -1.0, 0.5, u[i:i + 1])[0] for i, r in enumerate(rows)]
+            assert np.array_equal(got, np.array(want))
+            assert np.array_equal(got, oracles.inverse_cdf_rows(rows, -1.0, 0.5, u))
 
 
 class TestDeltaPositive:
