@@ -31,7 +31,10 @@ bytes are ``x,``, and JSON otherwise; ``_is_csv`` alone decides this.  A
 distribution file is read back from one open handle, one block at a time,
 so that beside the n x n values only one block of text and of parsed rows is
 live.  A CSV table goes through ``np.loadtxt`` CHUNK_ROWS lines at a time,
-and each whole x row is checked as it arrives.  A JSON document is read as
+and each block is checked where it lies, by position: the first x row
+fixes the p lattice (n_p lines, increasing strictly), line k holds
+p[k mod n_p] at the x of line k - 1 inside a row and at a greater x where
+k mod n_p = 0, and the file ends on a whole row.  A JSON document is read as
 one stream of text split at each ``]``, and its ``values`` table row by row,
 each row decoded by ``json.loads`` into one float64 array; the table is taken
 only where the pieces follow the writer's ``], [`` separators and every row
@@ -626,37 +629,33 @@ def save_distribution(dist: PhaseSpaceGrid, path, fmt: str = "csv") -> None:
 
 
 def _distribution_from_rows(path, blocks) -> PhaseSpaceGrid:
-    """The grid of ``x,p,value`` rows, checked one whole x row at a time as
-    the blocks arrive: the first x row's p lattice increases strictly, and
-    every x row repeats it at one x, above the previous row's, with no rows
-    left over.  Only each row's x and its values are kept."""
-    p, last, xs, values, rest = None, np.empty(0), [], [], np.empty((0, 3))
-    for block in itertools.chain(blocks, [None]):
-        rows = rest if block is None else np.concatenate((rest, block))
-        if p is None:
-            new_x = np.flatnonzero(rows[:, 0] != rows[0, 0])
-            if block is not None and new_x.size == 0:  # the first x row goes on
-                rest = rows
-                continue
-            p = rows[: new_x[0] if new_x.size else len(rows), 1].copy()
-            if not (p.size and np.all(p[1:] > p[:-1])):
-                break
-        k = len(rows) // p.size
-        whole = rows[: k * p.size].reshape(k, p.size, 3)
-        rest = rows[k * p.size :]
-        x = np.concatenate((last, whole[:, 0, 0]))
-        if not (np.all(x[1:] > x[:-1]) and np.all(whole[:, :, 0] == whole[:, :1, 0])
-                and np.all(whole[:, :, 1] == p)):
+    """The grid of ``x,p,value`` rows, each block checked where it lies.  The
+    first x row fixes the p lattice: its n_p lines (read across blocks where
+    it is longer than one), with p increasing strictly.  Then line k holds
+    p[k mod n_p], at the x of line k - 1 inside a row and at a greater x where
+    k mod n_p = 0, and the file ends on a whole row.  Only each row's x and
+    the values are kept."""
+    head = [next(blocks)]
+    while np.all(head[-1][:, 0] == head[0][0, 0]) and (block := next(blocks, None)) is not None:
+        head.append(block)
+    head = np.concatenate(head)
+    p = head[: np.argmax(np.append(head[:, 0] != head[0, 0], True)), 1]  # to the first new x
+    ok, k, prev, xs, values = p.size and np.all(p[1:] > p[:-1]), 0, np.empty(0), [], []
+    for block in itertools.chain([head], blocks) if ok else ():
+        x, j = block[:, 0], (k + np.arange(len(block))) % p.size
+        before = np.concatenate((prev, x[:-1]))  # x of line k - 1; line 0 has none
+        x_at, j_at = x[len(x) - len(before) :], j[len(x) - len(before) :]
+        ok = np.all(block[:, 1] == p[j]) and np.all(np.where(j_at, x_at == before, x_at > before))
+        if not ok:
             break
-        last = x[-1:]
-        xs.append(x[len(x) - k :])
-        values.append(whole[:, :, 2].copy())
-    else:
-        if rest.size == 0:
-            values = np.concatenate(values)  # the list goes before the grid copies the table
-            return PhaseSpaceGrid(x=np.concatenate(xs), p=p, kind=DistributionKind.HISTOGRAM,
-                                  values=values)
-    raise ValueError(f"{path}: rows do not cover an (x, p) grid in row-major order")
+        k, prev = k + len(x), x[-1:]
+        xs.append(x[j == 0])
+        values.append(block[:, 2].copy())
+    if not ok or k % p.size:
+        raise ValueError(f"{path}: rows do not cover an (x, p) grid in row-major order")
+    values = np.concatenate(values).reshape(-1, p.size)  # the list goes before the grid copies it
+    return PhaseSpaceGrid(x=np.concatenate(xs), p=p, kind=DistributionKind.HISTOGRAM,
+                          values=values)
 
 
 def _without_repeats(pairs):

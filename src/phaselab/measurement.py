@@ -22,6 +22,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from decimal import Decimal
 from numbers import Integral
 
 import numpy as np
@@ -259,8 +260,14 @@ def sample_joint(
 
     px = m_density(pos, delta)
     # Each chunk fills its rows here, so no chunk's arrays outlive it in a worker's heap.
-    # Allocated before any chunk is queued, so a shot count too large to hold fails at once.
-    xs, ps = np.empty(shots), np.empty(shots)
+    # Allocated before any chunk is queued, so a shot count too large to hold fails at once
+    # (NumPy refuses a count beyond its largest array size without allocating).
+    try:
+        xs, ps = np.empty(shots), np.empty(shots)
+    except (ValueError, MemoryError):
+        # Decimal: the byte count of any int, where float() would overflow
+        raise ValueError(f"shots = {shots} needs {Decimal(16 * shots):.2g} bytes "
+                         "for its x and p outcomes") from None
     n_chunks = (shots + CHUNK - 1) // CHUNK
 
     def run(c):

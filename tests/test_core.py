@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from phaselab import (
     fock_state,
     inner,
     make_grid,
+    normalize,
     superpose,
     to_momentum,
     to_position,
@@ -280,3 +282,24 @@ def test_gaussian_window_has_the_bits_of_the_plain_expression(delta):
     assert got.shape == want.shape == (x.size, centers.size)
     assert np.array_equal(np.isnan(got), nan)
     assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+# Each refusal of core that no other test reaches: (call on the 256-point
+# grid and its vacuum, message).
+REFUSALS = {
+    "wrong-shape-amp": (lambda g, psi: WaveFunction(g, Basis.POSITION, np.ones(g.n - 1)),
+                        "amplitude array has shape (255,), expected (256,)"),
+    "zero-state": (lambda g, psi: normalize(WaveFunction(g, Basis.POSITION, np.zeros(g.n))),
+                   "cannot normalize a zero state"),
+    "superpose-across-grids": (
+        lambda g, psi: superpose(1.0, psi, 1.0, coherent_state(make_grid(128, -16.0, 16.0), 0, 0)),
+        "superpose requires the same grid and basis"),
+    "unknown-observable": (lambda g, psi: expectation(psi, "q"), "unsupported observable q"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals_name_their_cause(grid, vacuum, case):
+    call, message = REFUSALS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(grid, vacuum)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -352,7 +353,8 @@ class TestCmdSample:
     def test_shot_count_too_large_to_hold_one_line_error(self, tmp_path, capsys):
         assert main(["sample", "--shots", str(10**20), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error [") and err.count("\n") == 1
+        assert err == (f"error [phaselab]: shots = {10**20} needs 1.6e+21 bytes "
+                       "for its x and p outcomes\n")
         assert not (tmp_path / "records.csv").exists()
 
     def test_non_positive_delta_one_line_error(self, tmp_path, capsys):
@@ -921,3 +923,21 @@ class TestExitCodeIsTheVerdict:
         capsys.readouterr()
         assert main(["report", "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().out.endswith("overall: FAIL\n")
+
+
+# Each refusal of cli that no other test reaches: (call writing into a
+# directory, message).
+REFUSALS = {
+    "unknown-distribution": (
+        lambda out: cli.cmd_dist(RunConfig(out=str(out)),
+                                 coherent_state(make_grid(64, -8.0, 8.0), 0.0, 0.0), "bogus"),
+        "unknown distribution 'bogus'"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals_name_their_cause(tmp_path, case):
+    call, message = REFUSALS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(tmp_path)
+    assert not any(tmp_path.iterdir())

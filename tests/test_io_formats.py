@@ -1,6 +1,8 @@
 """The chunked writers and NumPy readers of phaselab.io against the per-cell
 reference formats in oracles: identical bytes, equal arrays."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -102,3 +104,26 @@ class TestReadersMatchReference:
         back = plio.load_wavefunction(path)
         assert np.array_equal(np.signbit(back.amp.imag), np.signbit(psi.amp.imag))
         assert np.array_equal(np.signbit(back.amp.real), np.signbit(psi.amp.real))
+
+
+# Each refusal of io that no other test reaches: (call writing into a
+# directory, message).
+REFUSALS = {
+    "state-format": (
+        lambda out: plio.save_wavefunction(
+            WaveFunction(Grid(4, -2.0, 1.0), Basis.POSITION, np.ones(4)), out / "s.xml", fmt="xml"),
+        "unknown wavefunction format 'xml'"),
+    "distribution-format": (
+        lambda out: plio.save_distribution(
+            PhaseSpaceGrid(x=np.zeros(2), p=np.zeros(2), kind=DistributionKind.HUSIMI,
+                           values=np.zeros((2, 2))), out / "d.xml", fmt="xml"),
+        "unknown distribution format 'xml'"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals_name_their_cause(tmp_path, case):
+    call, message = REFUSALS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(tmp_path)
+    assert not any(tmp_path.iterdir())

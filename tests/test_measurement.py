@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -37,7 +38,7 @@ from phaselab.measurement import (
     coarsen,
     identity_composition_deviation,
 )
-from phaselab.phasespace import MarginalAxis
+from phaselab.phasespace import DistributionKind, MarginalAxis, PhaseSpaceGrid
 
 
 class TestMDensity:
@@ -223,6 +224,16 @@ class TestSampler:
         with pytest.raises((ValueError, MemoryError)):
             sample_joint(vacuum, 1.0, 10**20, seed=0)
         assert time.perf_counter() - start < 5.0
+
+    # NumPy refuses these counts at once, without allocating; a count it might
+    # really allocate (10**12 shots, 16 TB) is not tried.  10**400 bytes are
+    # beyond a float.
+    @pytest.mark.parametrize("shots, need", [(10**20, "1.6e+21"), (2**60, "1.8e+19"),
+                                             (10**400, "1.6e+401")])
+    def test_shot_count_too_large_names_shots_and_bytes(self, vacuum, shots, need):
+        message = f"shots = {shots} needs {need} bytes for its x and p outcomes"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sample_joint(vacuum, 1.0, shots, seed=0)
 
     @pytest.mark.parametrize("bins", [(0, 0), (-2, 2), (32,), (32, 32, 32), (32.0, 32)])
     def test_bins_must_be_two_positive_integers(self, vacuum, bins):
@@ -485,3 +496,23 @@ class TestConditional:
         f1 = fock_state(grid, 1)
         with pytest.raises(ValueError):
             conditional_q(husimi(f1, 1.0), f1, 0.0)  # odd state: psi~(0) = 0
+
+
+# Each refusal of measurement that no other test reaches: (call on the
+# 256-point grid and its vacuum, message).
+REFUSALS = {
+    "conditional-zero-mass": (
+        lambda g, psi: conditional_q(
+            PhaseSpaceGrid(x=g.x, p=g.p, kind=DistributionKind.HUSIMI,
+                           values=np.zeros((g.n, g.n)), delta=1.0), psi, 0.0),
+        "conditional column has zero mass"),
+    "dense-check-beyond-64": (lambda g, psi: sqrt_form_check(make_grid(128, -8.0, 8.0), 0.0, 1.0),
+                              "dense operator checks are restricted to grids of n <= 64"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals_name_their_cause(grid, vacuum, case):
+    call, message = REFUSALS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(grid, vacuum)

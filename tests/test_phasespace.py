@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,7 +25,9 @@ from phaselab import (
 )
 from phaselab.core import Basis, ResolutionError, WaveFunction, as_momentum
 from phaselab.phasespace import (
+    CharacteristicGrid,
     DistributionKind,
+    PhaseSpaceGrid,
     MarginalAxis,
     invert_characteristic,
     moment_correction,
@@ -291,3 +294,35 @@ class TestQMoment:
     def test_requires_husimi_kind(self, grid, vacuum):
         with pytest.raises(ValueError):
             q_moment(wigner(vacuum), Observable.X)
+
+
+def _wigner_2x2(x1):
+    """A Wigner-kind 2 x 2 grid on x = (0, x1), p = (0, 1)."""
+    return PhaseSpaceGrid(x=np.array([0.0, x1]), p=np.array([0.0, 1.0]),
+                          kind=DistributionKind.WIGNER, values=np.zeros((2, 2)))
+
+
+# Each refusal of phasespace that no other test reaches: (call, message).
+REFUSALS = {
+    "grid-values-shape": (
+        lambda: PhaseSpaceGrid(x=np.zeros(3), p=np.zeros(2), kind=DistributionKind.HUSIMI,
+                               values=np.zeros((2, 2))),
+        "values shape (2, 2) does not match axes"),
+    "characteristic-values-shape": (
+        lambda: CharacteristicGrid(u=np.zeros(3), v=np.zeros(2), s=0.0,
+                                   values=np.zeros((2, 2), complex)),
+        "values shape does not match (u, v) lattices"),
+    "trace-product-lattices": (lambda: trace_product(_wigner_2x2(1.0), _wigner_2x2(2.0)),
+                               "trace_product requires matching lattices"),
+    "q-moment-without-delta": (
+        lambda: q_moment(PhaseSpaceGrid(x=np.zeros(2), p=np.zeros(2), kind=DistributionKind.HUSIMI,
+                                        values=np.zeros((2, 2))), Observable.X),
+        "Husimi grid is missing its delta parameter"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals_name_their_cause(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

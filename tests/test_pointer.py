@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -261,3 +262,17 @@ class TestPointerVsDirect:
         psi = WaveFunction(grid, Basis.POSITION, np.exp(-(grid.x**2) / 2.0))
         with pytest.raises(ResolutionError, match="under-resolved"):
             pointer_vs_direct(psi, CouplingSpec(g=1.0, delta_device=1.0))
+
+
+# Each refusal of pointer that no other test reaches: (call on the test grid, message).
+REFUSALS = {
+    "composite-shape": (lambda g: CompositeWaveFunction(g, g, np.zeros((2, 3)), 1.0),
+                        "composite amplitude shape (2, 3) does not match grids"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals_name_their_cause(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(make_grid(64, -8.0, 8.0))

@@ -6,6 +6,10 @@ from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
+# What `tools/artifact_digests.py OUT` prints: every run's exit code and every
+# artifact's SHA-256.  A change meant to alter artifact bytes rewrites this file.
+ARTIFACT_DIGESTS = Path(__file__).resolve().parent / "artifact_digests.txt"
+
 # A small module, and the kind of each of its lines in KINDS: c code, d docstring,
 # b comment or blank.
 FIXTURE = '''"""Module docstring,
@@ -70,3 +74,10 @@ def test_artifact_digests_lists_each_run_and_file(tmp_path):
     for sha, path in digests:
         assert sha == hashlib.sha256((tmp_path / path).read_bytes()).hexdigest()
     assert tool.main([str(tmp_path)]) == 2  # a non-empty OUT is refused
+
+
+def test_cli_artifacts_keep_their_bytes(tmp_path):
+    """The whole 24-run CLI set: each exit code and each file's bytes as recorded."""
+    tool = _tool("artifact_digests")
+    lines = tool.run_all(tmp_path) + tool.digests(tmp_path)
+    assert lines == ARTIFACT_DIGESTS.read_text().splitlines()
