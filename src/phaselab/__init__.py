@@ -48,7 +48,6 @@ from .phasespace import (
     wigner,
 )
 from .pointer import (
-    CompositeWaveFunction,
     CouplingSpec,
     ProductWaveFunction,
     apply_interaction,
@@ -56,7 +55,6 @@ from .pointer import (
     make_composite,
     pointer_vs_direct,
     readout_joint,
-    weak_rescale,
 )
 
 __version__ = "0.1.0"

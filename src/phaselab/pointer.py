@@ -10,10 +10,10 @@ The uncoupled composite is held as its two factors, the 1-D device Gaussian
 and the system state, and the coupling forms only the rows it is asked for,
 by one gather of the device Gaussian (see ``_row_gather``).
 ``pointer_vs_direct`` forms only the n readout rows, in blocks of BLOCK rows,
-and reads out and compares each block as it goes, so its memory does not grow
-with the device lattice.  ``apply_interaction`` takes the product that
-``make_composite`` returns and fills its n_d x n output BLOCK rows at a time
-by the same gather, on every device lattice.
+and reads out (``readout_joint``) and compares each block as it goes, so its
+memory does not grow with the device lattice.  ``apply_interaction`` takes
+the product that ``make_composite`` returns and fills its bare n_d x n array
+BLOCK rows at a time by the same gather, on every device lattice.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .core import (
     split_cells,
 )
 from .measurement import successive_density
-from .phasespace import DistributionKind, PhaseSpaceGrid
 
 # Most cells n_d x min(n, BLOCK) of a default device lattice, so at most
 # 2**26 / min(n, BLOCK) device rows.  The gather's blocks are BLOCK x n whatever
@@ -61,50 +60,16 @@ class CouplingSpec:
 
 
 @dataclass(frozen=True)
-class CompositeWaveFunction:
-    """Amplitudes over device position (axis 0) x system position (axis 1)."""
-
-    device_grid: Grid
-    system_grid: Grid
-    amp: np.ndarray
-    delta_device: float
-
-    def __post_init__(self):
-        amp = np.asarray(self.amp, dtype=np.complex128)
-        if amp.shape != (self.device_grid.n, self.system_grid.n):
-            raise ValueError(f"composite amplitude shape {amp.shape} does not match grids")
-        amp.flags.writeable = False
-        object.__setattr__(self, "amp", amp)
-
-    def norm(self) -> float:
-        return math.sqrt(
-            float(np.sum(np.abs(self.amp) ** 2)) * self.device_grid.dx * self.system_grid.dx
-        )
-
-
-@dataclass(frozen=True)
 class ProductWaveFunction:
     """The composite before the coupling, held as its two factors: the device
     Gaussian ``env`` of ``make_composite`` and the system state ``psi``
-    (position basis).  ``amp`` forms their n_d x n product each time it is
-    read; the coupling takes its rows from the factors instead."""
+    (position basis).  Their n_d x n product is ``np.outer(env, psi.amp)``;
+    the coupling takes its rows from the factors instead."""
 
     device_grid: Grid
     env: np.ndarray
     psi: WaveFunction
     delta_device: float
-
-    @property
-    def system_grid(self) -> Grid:
-        return self.psi.grid
-
-    @property
-    def amp(self) -> np.ndarray:
-        amp = np.outer(self.env, self.psi.amp)
-        amp.flags.writeable = False
-        return amp
-
-    norm = CompositeWaveFunction.norm
 
 
 def device_grid_for(system_grid: Grid, spec: CouplingSpec) -> Grid:
@@ -155,18 +120,22 @@ def _row_gather(comp: ProductWaveFunction, g: float):
     [0, 1).  Row i, column k is the device Gaussian at
     x_(i - shift_k mod n_d) - frac_k*dx_dev times psi_k, multiplied as
     ``np.outer`` multiplies.  That Gaussian is sampled once per distinct
-    fraction (``env`` itself for 0), normalised, and stored twice in a row,
-    so row i of column k sits at base_k + i with no modulo.  This is exact,
-    with no interpolation of the shift; ``device_grid_for`` gives r = 1 and
-    one fraction.  The largest amplitude of a column is max(its Gaussian)
-    times psi_k, as a gather only permutes a column.
+    fraction (``env`` itself for 0; fractions within 1e-12 of their
+    neighbour, split apart by rounding, count as one), normalised, and
+    stored twice in a row, so row i of column k sits at base_k + i with no
+    modulo.  This is exact, with no interpolation of the shift;
+    ``device_grid_for`` gives r = 1 and one fraction.  The largest amplitude
+    of a column is max(its Gaussian) times psi_k, as a gather only permutes
+    a column.
     """
-    gd, gs = comp.device_grid, comp.system_grid
+    gd, gs = comp.device_grid, comp.psi.grid
     r, r_frac = split_cells(g * gs.dx / gd.dx)
     m0, f = split_cells(g * gs.x_min / gd.dx)
     psi, k = comp.psi.amp, np.arange(gs.n)
     carry, fracs = np.divmod(f + r_frac * k, 1.0)
     fracs, which = np.unique(fracs, return_inverse=True)
+    keep = np.r_[True, np.diff(fracs) > 1e-12]
+    which, fracs = np.cumsum(keep)[which] - 1, fracs[keep]
     samples = np.empty((fracs.size, 2, gd.n))
     for sample, frac in zip(samples, fracs):
         sample[:] = (_unit_norm(gaussian_window(gd.x, frac * gd.dx, comp.delta_device), gd.dx)
@@ -189,45 +158,27 @@ def _row_gather(comp: ProductWaveFunction, g: float):
     return gather
 
 
-def apply_interaction(comp: ProductWaveFunction, g: float) -> CompositeWaveFunction:
+def apply_interaction(comp: ProductWaveFunction, g: float) -> np.ndarray:
     """Impulsive coupling exp(-i*g*x_sys*p_dev) of the product that
-    ``make_composite`` returns: shifts the device by g*x_sys, on every row of
-    the device lattice, which the gather of ``_row_gather`` fills BLOCK rows
-    at a time."""
-    gd, gs = comp.device_grid, comp.system_grid
+    ``make_composite`` returns: the n_d x n amplitudes over device position
+    (axis 0) x system position (axis 1), the device shifted by g*x_sys on
+    every row of the device lattice, filled BLOCK rows at a time by the
+    gather of ``_row_gather``."""
+    gd, gs = comp.device_grid, comp.psi.grid
     gather = _row_gather(comp, g)
     amp = np.empty((gd.n, gs.n), np.complex128)
     for lo in range(0, gd.n, BLOCK):
         amp[lo : lo + BLOCK] = gather(np.arange(lo, min(lo + BLOCK, gd.n)))
-    return CompositeWaveFunction(gd, gs, amp, comp.delta_device)
+    return amp
 
 
-def _readout(amp: np.ndarray, gs: Grid) -> np.ndarray:
-    """|<p|<x|Psi>|^2 of composite rows `amp` (device rows x the system lattice `gs`)."""
+def readout_joint(amp: np.ndarray, gs: Grid) -> np.ndarray:
+    """Joint density |<p|<x|Psi>|^2 of device position and system momentum,
+    on composite rows `amp` (device rows x the system lattice `gs`).  On
+    device rows g*x_k, g times it is comparable to the Husimi function with
+    delta = delta_device/g^2, g being the Jacobian of the rescaled readout
+    x_bar = x/g."""
     return np.abs(fourier_sum(amp, gs.x, gs.p, gs.dx / math.sqrt(TWO_PI), sign=-1, axis=1)) ** 2
-
-
-def readout_joint(comp: CompositeWaveFunction) -> PhaseSpaceGrid:
-    """Joint density of device position and system momentum, |<p|<x|Psi>|^2."""
-    gd, gs = comp.device_grid, comp.system_grid
-    return PhaseSpaceGrid(
-        x=gd.x,
-        p=gs.p,
-        kind=DistributionKind.HUSIMI,
-        values=_readout(comp.amp, gs),
-        delta=comp.delta_device,
-    )
-
-
-def weak_rescale(joint: PhaseSpaceGrid, g: float) -> PhaseSpaceGrid:
-    """Substitute the rescaled readout x_bar = x/g, with the Jacobian factor g
-    keeping the density normalized; comparable to the Husimi function with
-    delta = delta_device/g^2."""
-    check_positive("g", g)
-    delta = None if joint.delta is None else joint.delta / g**2
-    return PhaseSpaceGrid(
-        x=joint.x / g, p=joint.p, kind=joint.kind, values=g * joint.values, delta=delta
-    )
 
 
 def pointer_vs_direct(psi: WaveFunction, spec: CouplingSpec) -> float:
@@ -237,9 +188,9 @@ def pointer_vs_direct(psi: WaveFunction, spec: CouplingSpec) -> float:
 
     Only those rows of the coupled composite are formed, by the gather of
     ``_row_gather``: ``device_grid_for`` puts row left + k at g*x_k.  Each
-    block of BLOCK rows is read out by ``_readout``, scaled by the Jacobian g
-    of ``weak_rescale`` and compared with the same rows of the direct density;
-    the device lattice enters only as its 1-D Gaussian.
+    block of BLOCK rows is read out by ``readout_joint``, scaled by the
+    Jacobian g of the rescaled readout and compared with the same rows of the
+    direct density; the device lattice enters only as its 1-D Gaussian.
     """
     pos = as_position(psi)
     sg = pos.grid
@@ -253,6 +204,6 @@ def pointer_vs_direct(psi: WaveFunction, spec: CouplingSpec) -> float:
         # amp and joint stay named: with either inlined, one n = 256 call takes
         # about 670 minor page faults instead of 544
         amp = gather(np.arange(left + lo, left + min(lo + BLOCK, sg.n)))
-        joint = spec.g * _readout(amp, sg)
+        joint = spec.g * readout_joint(amp, sg)
         deviation = max(deviation, float(np.max(np.abs(joint - direct[lo : lo + BLOCK]))))
     return deviation

@@ -271,7 +271,7 @@ def pointer_vs_direct_reference(psi, spec):
         amp = np.take(amp.reshape(-1), mode="wrap", indices=np.add.outer(
             (rows - m0) * sg.n, (1 - r * sg.n) * np.arange(sg.n)))
     else:
-        comp = SimpleNamespace(device_grid=dg, system_grid=sg, amp=amp)
+        comp = SimpleNamespace(device_grid=dg, env=env, psi=pos)
         amp = apply_interaction_reference(comp, spec.g)[left : left + sg.n]
     phi = fourier_sum(amp, sg.x, sg.p, sg.dx / np.sqrt(2.0 * np.pi), sign=-1, axis=1)
     joint = spec.g * np.abs(phi) ** 2
@@ -284,8 +284,9 @@ def apply_interaction_reference(comp, g):
     column per system lattice point, exp(-i*g*outer(p_dev, x_sys))."""
     from phaselab.core import fourier_sum
 
-    gd, gs = comp.device_grid, comp.system_grid
-    phi = fourier_sum(comp.amp, gd.x, gd.p, gd.dx / np.sqrt(2.0 * np.pi), sign=-1, axis=0)
+    gd, gs = comp.device_grid, comp.psi.grid
+    amp = np.outer(comp.env, comp.psi.amp)
+    phi = fourier_sum(amp, gd.x, gd.p, gd.dx / np.sqrt(2.0 * np.pi), sign=-1, axis=0)
     phi = phi * np.exp(-1j * g * np.outer(gd.p, gs.x))
     return fourier_sum(phi, gd.p, gd.x, gd.dp / np.sqrt(2.0 * np.pi), sign=+1, axis=0)
 
@@ -294,7 +295,7 @@ def apply_interaction_sampled(comp, g):
     """Coupled composite amplitudes of a product ``make_composite`` returns,
     with no lattice translation: every column's device Gaussian sampled at
     x_dev - g*x_sys and normalised on the device lattice."""
-    gd, gs = comp.device_grid, comp.system_grid
+    gd, gs = comp.device_grid, comp.psi.grid
     env = np.exp(-((gd.x[:, None] - g * gs.x) ** 2) / (2.0 * comp.delta_device))
     return env / np.sqrt(np.sum(env**2, axis=0) * gd.dx) * comp.psi.amp
 
